@@ -4,7 +4,7 @@ Runs are described by a plain INI config file (see ``example_config`` below)
 so an experiment is a diff-able text record.  Every command writes a
 machine-readable JSON report plus a human log into the output directory.
 Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
-3 resonance, 4 unsupported spectrum, 5 unreadable artifact,
+3 resonance, 4 unsupported spectrum, 5 unreadable or mismatched artifact,
 6 integration failure.
 """
 
@@ -24,7 +24,7 @@ from . import models, parallel
 from .errors import ArtifactError, QptoriError
 from .flowmap import PoincareSpec, SingleShootingMap, jacobian_at
 from .fourier import FourierField, FourierMatrix, MeshSpec
-from .manifold import ManifoldExpansion, estimate_radius, rescale, stable_expansion, unstable_expansion
+from .manifold import ManifoldExpansion, estimate_radius, stable_expansion, unstable_expansion
 from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
 from .verify import test_order, test_tail, torus_suite
@@ -159,11 +159,25 @@ def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
     log.flush()
 
 
+def _check_resume(prev: TorusSolution, prefix: str, qpmap, cfg: RunConfig) -> None:
+    """Refuse a torus artifact whose state size or rotation (the section
+    count and the frequencies) differ from the configured map."""
+    rho = np.asarray(qpmap.rho, dtype=float)
+    if prev.n != qpmap.n or prev.rho.shape != rho.shape or not np.allclose(
+        prev.rho, rho, rtol=0.0, atol=1e-12
+    ):
+        raise ArtifactError(
+            f"torus artifact {prefix} (n={prev.n}, rho={list(prev.rho)}) does not match "
+            f"the configured map (n={qpmap.n}, rho={list(rho)}, sections={cfg.sections})"
+        )
+
+
 def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     field, mesh, P, qpmap = _build_map(cfg)
     log = _Log(out / "torus.log")
     if resume:
         prev = TorusSolution.load(resume)
+        _check_resume(prev, resume, qpmap, cfg)
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
@@ -173,12 +187,12 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     parallel.profile.reset()
     t0 = time.perf_counter()
     sol = run_newton(qpmap, phi0, C0, B0, ncfg)
-    wall = time.perf_counter() - t0
+    tests = torus_suite(qpmap, sol.phi, cfg.test_tol)
+    wall = time.perf_counter() - t0  # Newton and the tests: every map_eval phase
     for i, h in enumerate(sol.history):
         log(f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}")
     eigs = np.sort(np.abs(sol.eigenvalues()))
     log(f"eigenvalue magnitudes: {', '.join(f'{v:.15e}' for v in eigs)}")
-    tests = torus_suite(qpmap, sol.phi, cfg.test_tol)
     for t in tests:
         log(str(t))
     sol.save(str(out / "torus"))
@@ -312,7 +326,10 @@ def cmd_slice(args) -> int:
     prefix = args.artifact
     fixed = [float(v) for v in args.fixed.split(",")] if args.fixed else []
     if Path(f"{prefix}.phi.bin").exists():
-        phi = FourierField.load(f"{prefix}.phi.bin")
+        try:
+            phi = FourierField.load(f"{prefix}.phi.bin")
+        except (OSError, ValueError) as exc:
+            raise ArtifactError(f"cannot read torus artifact {prefix}: {exc}") from exc
         d = phi.mesh.d
         axis = args.axis - 1
         count = args.count or phi.mesh.shape[axis]

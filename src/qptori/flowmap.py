@@ -6,6 +6,12 @@ omega_0`` of the section angle; intermediate section maps cover a fraction
 ``theta_i(t) = theta_i(0) + omega_i t / (2 pi)`` (angles in turns), so only
 the state is integrated.
 
+A model meets one contract, ``QPVectorField.rhs(x, theta, spec)``.  The
+integrator asks it once per span for the stage function
+``f = field.span(theta_start, spec)`` and calls ``f(t, x)`` at every stage;
+the default closes over ``rhs``, and a model may override ``span`` to do the
+work that depends only on the angles once per span instead of once per stage.
+
 The integrator is an adaptive embedded Runge-Kutta pair of order 8 (the
 Dormand-Prince 8(5,3) coefficients shipped with scipy) that works unchanged
 on real states and on jet coefficients: stage combinations are linear, the
@@ -43,7 +49,10 @@ class QPVectorField:
     """Base class: a vector field F(x, theta) on R^n x T^(d+1).
 
     Subclasses set ``n`` and ``omega`` (length d+1, rationally independent)
-    and implement ``rhs`` for batches of jet states.
+    and implement ``rhs`` for batches of jet states; that is the contract
+    every model must meet.  ``span`` is the per-span hook of the integrator:
+    a subclass may override it to hoist angle-only work out of the stages,
+    as long as its stage function agrees with ``rhs`` along the span.
     """
 
     n: int
@@ -52,6 +61,15 @@ class QPVectorField:
     def rhs(self, x: np.ndarray, theta: np.ndarray, spec: jets.JetSpec) -> np.ndarray:
         """dx/dt for states x (batch, n, ncoeff) at angles theta (batch, d+1) in turns."""
         raise NotImplementedError
+
+    def span(self, theta_start: np.ndarray, spec: jets.JetSpec):
+        """Stage function f(t, x) of one integration span.
+
+        ``theta_start`` (batch, d+1) holds the angles in turns at t = 0 of
+        the span; ``f(t, x)`` is ``rhs`` at the angles reached at time t.
+        """
+        omega_turns = self.omega / (2.0 * np.pi)
+        return lambda t, x: self.rhs(x, theta_start + omega_turns * t, spec)
 
     @property
     def d(self) -> int:
@@ -97,13 +115,8 @@ def integrate_span(
     if t_span == 0.0:
         return y0.copy()
     y = np.asarray(y0, dtype=float).copy()
-    theta_start = np.asarray(theta_start, dtype=float)
-    omega_turns = field.omega / (2.0 * np.pi)
     direction = 1.0 if t_span > 0 else -1.0
-
-    def f(t, state):
-        theta = theta_start + omega_turns * t
-        return field.rhs(state, theta, spec)
+    f = field.span(np.asarray(theta_start, dtype=float), spec)
 
     t = 0.0
     k0 = f(t, y)

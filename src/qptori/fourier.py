@@ -260,10 +260,13 @@ class FourierField:
             magic = fh.read(len(_MAGIC))
             if magic != _MAGIC:
                 raise IOError(f"{path}: not a coefficient file")
-            version, d, n = struct.unpack("<3q", fh.read(24))
-            if version != _VERSION:
-                raise IOError(f"{path}: unsupported version {version}")
-            shape = struct.unpack(f"<{d}q", fh.read(8 * d))
+            try:
+                version, d, n = struct.unpack("<3q", fh.read(24))
+                if version != _VERSION:
+                    raise IOError(f"{path}: unsupported version {version}")
+                shape = struct.unpack(f"<{d}q", fh.read(8 * d))
+            except struct.error as exc:
+                raise ValueError(f"{path}: truncated header") from exc
             mesh = MeshSpec(tuple(shape))
             raw = np.frombuffer(fh.read(), dtype="<c16")
         coeffs = raw.reshape(mesh.cshape + (n,)).astype(complex)

@@ -56,11 +56,38 @@ class PendulumField(QPVectorField):
         return 1.0 / (self.params.d + 2.0 + total)
 
     def rhs(self, x, theta, spec):
+        return self._field(x, self.forcing(theta), spec)
+
+    def forcing_along(self, theta_start: np.ndarray):
+        """zeta(t) = forcing(theta_start + omega t / (2 pi)) along one span.
+
+        Every angle moves as 2 pi theta_i(t) = 2 pi theta_i(0) + omega_i t,
+        so by angle addition cos(2 pi theta_i(t)) = c0_i cos(omega_i t) -
+        s0_i sin(omega_i t): once c0 and s0 are known, a time t needs the
+        d+1 scalars cos/sin(omega t) and two dot products per point instead
+        of d+1 cosines per point.
+        """
+        angle0 = 2.0 * np.pi * theta_start
+        c0, s0 = np.cos(angle0), np.sin(angle0)
+        base = self.params.d + 2.0
+
+        def zeta(t):
+            wt = self.omega * t
+            return 1.0 / (base + (c0 @ np.cos(wt) - s0 @ np.sin(wt)))
+
+        return zeta
+
+    def span(self, theta_start, spec):
+        zeta = self.forcing_along(theta_start)
+        return lambda t, x: self._field(x, zeta(t), spec)
+
+    def _field(self, x, zeta, spec):
+        """The field at states x, given the forcing zeta (batch,) at their angles."""
         sin_x, _ = jets.sin_cos(x[..., 0, :], spec)
         out = np.empty_like(x)
         out[..., 0, :] = x[..., 1, :]
         out[..., 1, :] = -self.params.alpha * sin_x
-        out[..., 1, 0] += self.params.eps * self.forcing(theta)
+        out[..., 1, 0] += self.params.eps * zeta
         return out
 
 

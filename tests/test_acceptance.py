@@ -5,9 +5,10 @@ Each test prints a single summary line of the form
     criterion N (title): <measured detail> [pass|FAIL|xfail: reason]
 
 Criteria 1, 2 and the profiling part of 8 share one long d=4 torus run
-(roughly 30-45 minutes on a single core); everything else runs at d<=2
-desk scale.  Run this module alone with ``pytest tests/test_acceptance.py -s``
-to watch the lines appear as they complete.
+(roughly 30-45 minutes on a single core); those tests carry the ``slow``
+marker, and everything else runs at d<=2 desk scale.  Run this module alone
+with ``pytest tests/test_acceptance.py -s`` to watch the lines appear as they
+complete.
 """
 
 import os
@@ -107,6 +108,7 @@ def d2_pipeline():
 
 
 class TestCriterion1:
+    @pytest.mark.slow
     def test_full_scale_eigenvalues(self, d4_run):
         sol = d4_run["sol"]
         lam_s, lam_u = np.sort(np.abs(sol.eigenvalues()))
@@ -128,6 +130,7 @@ class TestCriterion1:
 
 
 class TestCriterion2:
+    @pytest.mark.slow
     def test_newton_convergence(self, d4_run):
         hist = [h["invariance"] for h in d4_run["sol"].history]
         iters = len(hist) - 1
@@ -343,6 +346,7 @@ class TestCriterion8:
         summary(8, "determinism across workers", ok, f"max coefficient difference {diff:.1e}")
         assert diff <= 1e-13
 
+    @pytest.mark.slow
     def test_parallel_speedup(self, d4_run):
         if (os.cpu_count() or 1) < 8:
             summary(
@@ -365,6 +369,7 @@ class TestCriterion8:
         summary(8, "parallel speed-up", speedup >= 4.0, f"8-worker speed-up {speedup:.2f}x")
         assert speedup >= 4.0
 
+    @pytest.mark.slow
     def test_map_evaluation_dominates(self, d4_run):
         frac = d4_run["map_eval_fraction"]
         ok = frac >= 0.90

@@ -80,6 +80,32 @@ class TestTorusCommand:
         eigs = report["solution"]["eigenvalues"]
         assert eigs[-1] == pytest.approx(275.85, rel=1e-3)
 
+    def test_map_eval_fraction_is_a_fraction(self, run_dir):
+        # the map evaluations of Newton and of the tests, over the wall time of both
+        out, _ = run_dir
+        report = json.loads((out / "torus_report.json").read_text())
+        assert 0.0 < report["profile"]["map_eval_fraction"] <= 1.0
+
+
+class TestResume:
+    def _resume(self, run_dir, tmp_path, config_text):
+        out, _ = run_dir
+        config = tmp_path / "resume.ini"
+        config.write_text(config_text)
+        argv = ["torus", "--config", str(config), "--out", str(tmp_path)]
+        return cli.main(argv + ["--resume", str(out / "torus")])
+
+    def test_other_section_count_refused(self, run_dir, tmp_path, capsys):
+        # an r=1 artifact (n=2) cannot seed the two-section lift (n=4)
+        config = CONFIG_D1.replace("sections = 1", "sections = 2")
+        assert self._resume(run_dir, tmp_path, config) == 5
+        assert "does not match the configured map" in capsys.readouterr().err
+
+    def test_other_frequencies_refused(self, run_dir, tmp_path):
+        # same state size, but another rotation number
+        config = CONFIG_D1.replace("eps = 0.01", "eps = 0.01\nomega = 1.0 1.7")
+        assert self._resume(run_dir, tmp_path, config) == 5
+
 
 class TestManifoldCommand:
     def test_artifacts_written(self, run_dir):
@@ -142,6 +168,23 @@ class TestSliceCommand:
         assert rc == 0
         lines = dest.read_text().strip().splitlines()
         assert len(lines) == 1 + 31  # header plus one row per mesh point
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[:56],  # header intact, coefficients gone
+            lambda raw: raw[:20],  # cut inside the header
+            lambda raw: b"NOTQPTF\x00" + raw[8:],  # bad magic
+        ],
+        ids=["truncated-coefficients", "truncated-header", "bad-magic"],
+    )
+    def test_corrupt_torus_artifact(self, run_dir, tmp_path, capsys, damage):
+        out, _ = run_dir
+        raw = (out / "torus.phi.bin").read_bytes()
+        (tmp_path / "torus.phi.bin").write_bytes(damage(raw))
+        rc = cli.main(["slice", str(tmp_path / "torus"), "--output", str(tmp_path / "s.csv")])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error: cannot read torus artifact")
 
     def test_manifold_slice(self, run_dir, tmp_path):
         out, _ = run_dir

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from qptori import jets, models
+from qptori.flowmap import QPVectorField, integrate_span
 from qptori.models import PendulumParams, pendulum_field
 
 
@@ -74,6 +77,69 @@ class TestField:
             e[col] = h
             fd = (field.rhs_point(x + e, theta) - field.rhs_point(x - e, theta)) / (2 * h)
             assert np.abs(fd - jac[:, :, col]).max() < 1e-8
+
+
+def _seed(kind, x, rng):
+    if kind == "real":
+        return x[..., None], jets.REAL
+    if kind == "grad":
+        return jets.seed_gradient(x)
+    return jets.seed_series(np.stack([x, 0.1 * rng.standard_normal(x.shape)]), 6)
+
+
+def _counted_span(field, span):
+    """Install ``span`` as the field's per-span hook; return a stage-call counter."""
+    calls = [0]
+
+    def counting(theta_start, spec):
+        f = span(theta_start, spec)
+
+        def g(t, x):
+            calls[0] += 1
+            return f(t, x)
+
+        return g
+
+    field.span = counting  # integrate_span looks the hook up on the instance
+    return calls
+
+
+class TestSpan:
+    """The pendulum's hoisted stage function against the rhs-based default."""
+
+    @pytest.mark.parametrize("kind", ["real", "grad", "series"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_hoisted_matches_rhs(self, d, kind):
+        rng = np.random.default_rng(10 * d + len(kind))
+        x = np.array([np.pi, 0.0]) + 0.01 * rng.standard_normal((8, 2))
+        theta = rng.random((8, d + 1))
+        y0, spec = _seed(kind, x, rng)
+        hoisted, default = pendulum_field(d=d), pendulum_field(d=d)
+        hoisted_calls = _counted_span(hoisted, hoisted.span)
+        default_calls = _counted_span(default, functools.partial(QPVectorField.span, default))
+        # the two paths round the angles differently, and the saddle amplifies
+        # that over one return as much as a one-ulp change of theta does: up
+        # to 5e-14 in values and gradients, and up to 2e-12 in the order-k
+        # series coefficients, which cancel more and more with k
+        rtol = 1e-11 if kind == "series" else 1e-13
+        for t_span in (hoisted.delta, -hoisted.delta):
+            a = integrate_span(hoisted, y0, theta, t_span, spec, 1e-14)
+            b = integrate_span(default, y0, theta, t_span, spec, 1e-14)
+            scale = np.abs(b).max(axis=(0, 1))  # per jet coefficient
+            assert (np.abs(a - b).max(axis=(0, 1)) <= rtol * scale).all()
+            assert hoisted_calls[0] == default_calls[0] > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_forcing_along_span(self, d):
+        field = pendulum_field(d=d)
+        rng = np.random.default_rng(d)
+        theta = rng.random((200, d + 1))
+        zeta = field.forcing_along(theta)
+        for t in rng.uniform(-field.delta, field.delta, 20):
+            ref = field.forcing(theta + field.omega / (2.0 * np.pi) * t)
+            # both round angles of up to ~23 rad, ulp 3.6e-15, so a few ulp of
+            # each cosine add up to tens of ulp of zeta
+            assert (np.abs(zeta(t) - ref) <= 32 * np.spacing(ref)).all()
 
 
 class TestRegistry:

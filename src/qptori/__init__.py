@@ -4,7 +4,8 @@ The package computes invariant tori of stroboscopic return maps together
 with their Floquet change and matrix, expands the attached stable/unstable
 manifolds in Taylor-Fourier series, and validates everything with a small
 battery of accuracy tests.  Multiple shooting lifts strongly hyperbolic
-problems to an equivalent single-shooting one.
+problems to an equivalent single-shooting one, and that lift, with one
+section, is also the plain return map.
 """
 
 from .errors import (
@@ -15,12 +16,12 @@ from .errors import (
     ResonanceError,
     SpectrumError,
 )
-from .flowmap import PoincareSpec, QPVectorField, SingleShootingMap, poincare, poincare_inverse
+from .flowmap import PoincareSpec, QPVectorField
 from .fourier import FourierField, FourierMatrix, MeshSpec
-from .jets import Jet, JetSpec
+from .jets import JetSpec
 from .manifold import ManifoldExpansion, stable_expansion, unstable_expansion
 from .models import PendulumParams, pendulum_field
-from .multishoot import LiftedMap, MultiTorus, lift_to_blocks
+from .multishoot import LiftedMap, MultiTorus, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
 
 __version__ = "0.1.0"
@@ -34,13 +35,9 @@ __all__ = [
     "SpectrumError",
     "PoincareSpec",
     "QPVectorField",
-    "SingleShootingMap",
-    "poincare",
-    "poincare_inverse",
     "FourierField",
     "FourierMatrix",
     "MeshSpec",
-    "Jet",
     "JetSpec",
     "ManifoldExpansion",
     "stable_expansion",
@@ -49,7 +46,7 @@ __all__ = [
     "pendulum_field",
     "LiftedMap",
     "MultiTorus",
-    "lift_to_blocks",
+    "lifted_seed",
     "NewtonConfig",
     "TorusSolution",
     "run_newton",

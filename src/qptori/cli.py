@@ -22,8 +22,8 @@ import numpy as np
 
 from . import models, parallel
 from .errors import ArtifactError, QptoriError
-from .flowmap import PoincareSpec, SingleShootingMap, jacobian_at
-from .fourier import FourierField, FourierMatrix, MeshSpec
+from .flowmap import PoincareSpec
+from .fourier import FourierField, MeshSpec
 from .manifold import ManifoldExpansion, estimate_radius, stable_expansion, unstable_expansion
 from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
@@ -121,23 +121,17 @@ def _build_map(cfg: RunConfig):
         raise ArtifactError(
             f"mesh has {mesh.d} angles but the model forces {field.d}"
         )
-    P = PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections)
-    qpmap = SingleShootingMap(P) if cfg.sections == 1 else LiftedMap(P)
-    return field, mesh, P, qpmap
+    # sections = 1 is the r = 1 lift, the plain return map
+    lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
+    return mesh, lift
 
 
-def _builtin_seed(cfg: RunConfig, mesh: MeshSpec, P, qpmap):
+def _builtin_seed(cfg: RunConfig, mesh: MeshSpec, lift: LiftedMap):
     if cfg.model != "pendulum":
         raise ArtifactError(
             f"no builtin seed for model {cfg.model!r}; use --resume with a previous run"
         )
-    x0 = np.array([np.pi, 0.0])
-    if cfg.sections > 1:
-        return lifted_seed(qpmap, mesh, x0)
-    phi0 = FourierField.from_values(mesh, np.broadcast_to(x0, mesh.shape + (2,)).copy())
-    C0 = FourierMatrix.identity(mesh, 2)
-    B0 = jacobian_at(P, x0, np.zeros(mesh.d))
-    return phi0, C0, B0
+    return lifted_seed(lift, mesh, np.array([np.pi, 0.0]))
 
 
 class _Log:
@@ -159,35 +153,42 @@ def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
     log.flush()
 
 
-def _check_resume(prev: TorusSolution, prefix: str, qpmap, cfg: RunConfig) -> None:
-    """Refuse a torus artifact whose state size or rotation (the section
-    count and the frequencies) differ from the configured map."""
-    rho = np.asarray(qpmap.rho, dtype=float)
-    if prev.n != qpmap.n or prev.rho.shape != rho.shape or not np.allclose(
+def _check_resume(
+    prev: TorusSolution, prefix: str, mesh: MeshSpec, lift: LiftedMap, cfg: RunConfig
+) -> None:
+    """Refuse a torus artifact whose mesh, state size or rotation (the
+    section count and the frequencies) differ from the configured run."""
+    if prev.mesh.shape != mesh.shape:
+        raise ArtifactError(
+            f"torus artifact {prefix} mesh {prev.mesh.shape} does not match "
+            f"the configured mesh {mesh.shape}"
+        )
+    rho = np.asarray(lift.rho, dtype=float)
+    if prev.n != lift.n or prev.rho.shape != rho.shape or not np.allclose(
         prev.rho, rho, rtol=0.0, atol=1e-12
     ):
         raise ArtifactError(
             f"torus artifact {prefix} (n={prev.n}, rho={list(prev.rho)}) does not match "
-            f"the configured map (n={qpmap.n}, rho={list(rho)}, sections={cfg.sections})"
+            f"the configured map (n={lift.n}, rho={list(rho)}, sections={cfg.sections})"
         )
 
 
 def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
-    field, mesh, P, qpmap = _build_map(cfg)
+    mesh, lift = _build_map(cfg)
     log = _Log(out / "torus.log")
     if resume:
         prev = TorusSolution.load(resume)
-        _check_resume(prev, resume, qpmap, cfg)
+        _check_resume(prev, resume, mesh, lift, cfg)
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
-        phi0, C0, B0 = _builtin_seed(cfg, mesh, P, qpmap)
+        phi0, C0, B0 = _builtin_seed(cfg, mesh, lift)
         log("seed: builtin")
     ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.max_iter)
     parallel.profile.reset()
     t0 = time.perf_counter()
-    sol = run_newton(qpmap, phi0, C0, B0, ncfg)
-    tests = torus_suite(qpmap, sol.phi, cfg.test_tol)
+    sol = run_newton(lift, phi0, C0, B0, ncfg)
+    tests = torus_suite(lift, sol.phi, cfg.test_tol)
     wall = time.perf_counter() - t0  # Newton and the tests: every map_eval phase
     for i, h in enumerate(sol.history):
         log(f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}")
@@ -219,25 +220,22 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     return 0
 
 
-def _expand(sol, qpmap, branch: str, m: int, scaling: str):
+def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str):
     fn = unstable_expansion if branch == "unstable" else stable_expansion
     if scaling != "auto":
-        return fn(sol, qpmap, m, float(scaling)), None
-    exp = fn(sol, qpmap, m, 1.0)
+        return fn(sol, lift, m, float(scaling)), None
+    exp = fn(sol, lift, m, 1.0)
     radius = estimate_radius(exp)
     if np.isfinite(radius) and not 0.1 <= radius <= 10.0:
-        return fn(sol, qpmap, m, radius), radius
+        return fn(sol, lift, m, radius), radius
     return exp, radius
 
 
 def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
-    field, mesh, P, qpmap = _build_map(cfg)
+    mesh, lift = _build_map(cfg)
     prefix = resume or str(out / "torus")
     sol = TorusSolution.load(prefix)
-    if sol.mesh.shape != mesh.shape:
-        raise ArtifactError(
-            f"torus artifact mesh {sol.mesh.shape} does not match config {mesh.shape}"
-        )
+    _check_resume(sol, prefix, mesh, lift, cfg)
     log = _Log(out / "manifold.log")
     parallel.profile.reset()
     t0 = time.perf_counter()
@@ -248,13 +246,13 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
     }
     ok = True
     for branch in cfg.branches:
-        exp, radius = _expand(sol, qpmap, branch, cfg.manifold_order, cfg.scaling)
+        exp, radius = _expand(sol, lift, branch, cfg.manifold_order, cfg.scaling)
         log(f"{branch}: lambda {exp.lam:.15e}, scaling {exp.scaling}")
         for k, err in enumerate(exp.order_errors):
             log(f"  order {k}: relative invariance error {err:.3e}")
         tests = [
             test_tail(exp.coeffs[-1], cfg.test_tol),
-            test_order(exp, qpmap),
+            test_order(exp, lift),
         ]
         for t in tests:
             log(f"  {t}")
@@ -298,18 +296,18 @@ def _slice_manifold_csv(exp: ManifoldExpansion, path: Path, axis: int = 0, count
 
 
 def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
-    field, mesh, P, qpmap = _build_map(cfg)
+    _, lift = _build_map(cfg)
     log = _Log(out / "verify.log")
     reports = []
     ok = True
     for prefix in artifacts:
         if Path(f"{prefix}.phi.bin").exists():
             sol = TorusSolution.load(prefix)
-            tests = torus_suite(qpmap, sol.phi, cfg.test_tol)
+            tests = torus_suite(lift, sol.phi, cfg.test_tol)
             kind = "torus"
         elif Path(f"{prefix}.a0.bin").exists():
             exp = ManifoldExpansion.load(prefix)
-            tests = [test_tail(exp.coeffs[-1], cfg.test_tol), test_order(exp, qpmap)]
+            tests = [test_tail(exp.coeffs[-1], cfg.test_tol), test_order(exp, lift)]
             kind = "manifold"
         else:
             raise ArtifactError(f"no artifact found at prefix {prefix}")

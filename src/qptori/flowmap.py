@@ -6,6 +6,12 @@ omega_0`` of the section angle; intermediate section maps cover a fraction
 ``theta_i(t) = theta_i(0) + omega_i t / (2 pi)`` (angles in turns), so only
 the state is integrated.
 
+Two primitives sweep batches of grid points: ``advance_grid`` flows states
+between two fractions of the return time, and ``section_map`` between
+consecutive shooting sections.  ``multishoot.LiftedMap`` builds the
+grid-sweep map of the torus and manifold algorithms on them, for every
+section count r >= 1 (r = 1 is the plain return map).
+
 A model meets one contract, ``QPVectorField.rhs(x, theta, spec)``.  The
 integrator asks it once per span for the stage function
 ``f = field.span(theta_start, spec)`` and calls ``f(t, x)`` at every stage;
@@ -23,7 +29,7 @@ the worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dp8
@@ -193,10 +199,6 @@ class PoincareSpec:
         return self.field.d
 
     @property
-    def rho(self) -> np.ndarray:
-        return self.field.rho
-
-    @property
     def rho_section(self) -> np.ndarray:
         """Angle advance of one section map, in turns.
 
@@ -241,31 +243,6 @@ def advance_grid(P: PoincareSpec, x, thetas, frac0: float, frac1: float, spec=je
     return np.concatenate(parts, axis=0)
 
 
-def poincare(P: PoincareSpec, x, theta, spec=jets.REAL):
-    """Image of states under the return map; the angle image is theta + rho."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None] if single else x
-    tb = np.atleast_2d(np.asarray(theta, dtype=float))
-    out = advance_grid(P, xb, np.broadcast_to(tb, (xb.shape[0], P.d)), 0.0, 1.0, spec)
-    return out[0] if single else out
-
-
-def poincare_inverse(P: PoincareSpec, x, theta, spec=jets.REAL):
-    """Preimage under the return map, by backward integration.
-
-    ``theta`` is the angle *at the given state*; the preimage lives at
-    theta - rho.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None] if single else x
-    tb = np.atleast_2d(np.asarray(theta, dtype=float))
-    # start the backward span at the section crossing, angles as given
-    out = advance_grid(P, xb, np.broadcast_to(tb, (xb.shape[0], P.d)), 1.0, 0.0, spec)
-    return out[0] if single else out
-
-
 def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: bool = False):
     """Map between consecutive shooting sections (j = 1..r).
 
@@ -280,46 +257,3 @@ def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: boo
     if inverse:
         frac0, frac1 = frac1, frac0
     return advance_grid(P, x, thetas, frac0, frac1, spec)
-
-
-def map_with_jacobian(P: PoincareSpec, x, thetas, inverse: bool = False):
-    """Return-map images and differentials D_x P via first-order jet transport."""
-    seeds, spec = jets.seed_gradient(np.asarray(x, dtype=float))
-    fn = poincare_inverse if inverse else poincare
-    out = fn(P, seeds, thetas, spec)
-    return jets.split_gradient(out)
-
-
-def jacobian_at(P: PoincareSpec, x, theta, inverse: bool = False) -> np.ndarray:
-    """D_x P at a single point."""
-    _, jac = map_with_jacobian(P, np.asarray(x, float)[None], np.asarray(theta, float)[None], inverse)
-    return jac[0]
-
-
-class SingleShootingMap:
-    """Grid-sweep interface to the return map used by the torus and manifold
-    algorithms; the multiple-shooting lift implements the same surface."""
-
-    def __init__(self, P: PoincareSpec):
-        self.P = P
-        self.n = P.n
-        self.d = P.d
-        self.rho = P.rho
-
-    def images(self, x, thetas, inverse=False):
-        fn = poincare_inverse if inverse else poincare
-        return fn(self.P, x, thetas)
-
-    def images_and_jacobian(self, x, thetas, inverse=False):
-        return map_with_jacobian(self.P, x, thetas, inverse)
-
-    def transport_series(self, tables, thetas, order, inverse=False):
-        """Push truncated sigma-series through the map.
-
-        ``tables`` stacks the series coefficients, shape (k, batch, n); the
-        result has shape (order+1, batch, n).
-        """
-        seeds, spec = jets.seed_series(np.asarray(tables, dtype=float), order)
-        fn = poincare_inverse if inverse else poincare
-        out = fn(self.P, seeds, thetas, spec)
-        return np.moveaxis(out, -1, 0)

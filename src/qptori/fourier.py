@@ -94,18 +94,6 @@ def _freq_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def grid_index_to_tuple(ell: int, mesh: MeshSpec) -> tuple[int, ...]:
-    """Row-major flat grid index -> tuple (kappa_1, ..., kappa_d)."""
-    if not 0 <= ell < mesh.M:
-        raise IndexError(f"grid index {ell} out of range for mesh {mesh.shape}")
-    out = []
-    j = ell
-    for N in reversed(mesh.shape):
-        out.append(j % N)
-        j //= N
-    return tuple(reversed(out))
-
-
 def coeff_index_to_tuple(ell: int, mesh: MeshSpec) -> tuple[int, ...]:
     """Flat index into the packed coefficient array -> signed frequency tuple.
 
@@ -272,24 +260,6 @@ class FourierField:
         coeffs = raw.reshape(mesh.cshape + (n,)).astype(complex)
         return cls(mesh, n, coeffs=coeffs)
 
-    def to_csv(self, path) -> None:
-        """One line per stored kappa: kappa_1..kappa_d, then n cosine and n
-        sine amplitudes."""
-        freqs = self.mesh.freqs().reshape(-1, self.mesh.d)
-        flat = self.coeffs.reshape(-1, self.n)
-        cos_amp = 2.0 * flat.real / self.mesh.M
-        sin_amp = -2.0 * flat.imag / self.mesh.M
-        dc = np.all(freqs == 0, axis=1)
-        cos_amp[dc] /= 2.0
-        sin_amp[dc] = 0.0
-        with open(path, "w") as fh:
-            cols = [f"k{j+1}" for j in range(self.mesh.d)]
-            cols += [f"c{i}" for i in range(self.n)] + [f"s{i}" for i in range(self.n)]
-            fh.write(",".join(cols) + "\n")
-            for k, c, s in zip(freqs, cos_amp, sin_amp):
-                row = [str(int(v)) for v in k] + [f"{v:.17e}" for v in np.concatenate([c, s])]
-                fh.write(",".join(row) + "\n")
-
 
 class FourierMatrix:
     """An n x n matrix of scalar Fourier series on one shared mesh.
@@ -327,6 +297,3 @@ class FourierMatrix:
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """Pointwise matrix-vector product on the grid, vec shape mesh + (n,)."""
         return np.einsum("...ij,...j->...i", self.values, vec)
-
-    def matmat(self, other: "FourierMatrix") -> "FourierMatrix":
-        return FourierMatrix(self.mesh, self.values @ other.values)

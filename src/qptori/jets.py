@@ -13,7 +13,6 @@ All operations are pure and deterministic; there is no shared state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,28 +173,6 @@ def sqrt(a: np.ndarray, spec: JetSpec) -> np.ndarray:
     return q
 
 
-def extract_derivative(coeffs: np.ndarray, multi_index, spec: JetSpec) -> np.ndarray:
-    """Partial derivative encoded by a jet, with the factorial factor applied.
-
-    ``multi_index`` has one entry per symbol; its total degree must not
-    exceed the truncation order.
-    """
-    coeffs = _check(coeffs, spec)
-    multi_index = tuple(int(k) for k in multi_index)
-    if len(multi_index) != max(spec.symbols, 1) and spec.ncoeff > 1:
-        raise ValueError("multi-index length does not match symbol count")
-    degree = sum(multi_index)
-    if degree > spec.order:
-        raise ValueError(f"derivative degree {degree} exceeds jet order {spec.order}")
-    if degree == 0:
-        return coeffs[..., 0]
-    if spec.symbols == 1:
-        k = multi_index[0]
-        return coeffs[..., k] * math.factorial(k)
-    pos = multi_index.index(1)
-    return coeffs[..., 1 + pos]
-
-
 # -- convenience seeds for transport ------------------------------------
 
 
@@ -225,76 +202,3 @@ def seed_series(tables: np.ndarray, order: int) -> tuple[np.ndarray, JetSpec]:
     for k in range(min(tables.shape[0], order + 1)):
         out[..., k] = tables[k]
     return out, spec
-
-
-class Jet:
-    """A single truncated power series; thin scalar wrapper over the array ops."""
-
-    def __init__(self, coeffs, spec: JetSpec):
-        self.spec = spec
-        self.coeffs = _check(np.asarray(coeffs, dtype=float), spec)
-
-    @classmethod
-    def constant(cls, value: float, spec: JetSpec) -> "Jet":
-        return cls(constant(value, spec), spec)
-
-    @classmethod
-    def variable(cls, value: float, spec: JetSpec, index: int = 0) -> "Jet":
-        return cls(variable(value, spec, index), spec)
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.spec != self.spec:
-                raise ValueError(f"jet shape mismatch: {self.spec} vs {other.spec}")
-            return other
-        return Jet.constant(float(other), self.spec)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Jet(self.coeffs + other.coeffs, self.spec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Jet(self.coeffs - other.coeffs, self.spec)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.coeffs * other, self.spec)
-        other = self._coerce(other)
-        return Jet(mul(self.coeffs, other.coeffs, self.spec), self.spec)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Jet(-self.coeffs, self.spec)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.coeffs / other, self.spec)
-        return self * self._coerce(other).reciprocal()
-
-    def sin(self) -> "Jet":
-        return Jet(sin_cos(self.coeffs, self.spec)[0], self.spec)
-
-    def cos(self) -> "Jet":
-        return Jet(sin_cos(self.coeffs, self.spec)[1], self.spec)
-
-    def exp(self) -> "Jet":
-        return Jet(exp(self.coeffs, self.spec), self.spec)
-
-    def reciprocal(self) -> "Jet":
-        return Jet(reciprocal(self.coeffs, self.spec), self.spec)
-
-    def sqrt(self) -> "Jet":
-        return Jet(sqrt(self.coeffs, self.spec), self.spec)
-
-    def derivative(self, multi_index) -> float:
-        return float(extract_derivative(self.coeffs, multi_index, self.spec))
-
-    def __repr__(self):
-        return f"Jet({self.coeffs.tolist()}, s={self.spec.symbols}, o={self.spec.order})"

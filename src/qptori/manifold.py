@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import QptoriError, SpectrumError
-from .fourier import FourierField, FourierMatrix, MeshSpec
+from .fourier import FourierField, MeshSpec
 from .torus import TorusSolution, solve_cohomological
 
 _TAIL_WARN = 1e-10
@@ -139,13 +139,6 @@ def eigen_pick(B: np.ndarray, branch: str, c: float = 1.0) -> tuple[float, np.nd
     return float(lam), v
 
 
-def solve_coho_manifold(
-    g: FourierField, B, rho, lam: float, m: int, warn_below: float = 1e-8
-) -> FourierField:
-    """Solve ``lambda^m u(theta+rho) = B u(theta) + g(theta)`` mode by mode."""
-    return solve_cohomological(g, B, rho, float(lam) ** m, warn_below)
-
-
 def _check_tail(b: FourierField, k: int) -> None:
     scale = max(1.0, float(np.abs(b.values).max()))
     tail = float(b.tail_norms().max()) / scale
@@ -215,7 +208,7 @@ def unstable_expansion(
         b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
         _check_tail(b, k)
         g = FourierField.from_values(mesh, C_inv_shift.matvec(b.values))
-        u = solve_coho_manifold(g, sol.B, rho, lam, k, warn_below)
+        u = solve_cohomological(g, sol.B, rho, float(lam) ** k, warn_below)
         a.append(FourierField.from_values(mesh, sol.C.matvec(u.values)))
 
     errors = _expansion_errors(qpmap, a, lam, rho, inverse=False)
@@ -253,7 +246,7 @@ def stable_expansion(
         _check_tail(b, k)
         g_vals = -(lam**k) * _matvec_grid(sol.B, sol.C_inv.matvec(b.values))
         g = FourierField.from_values(mesh, g_vals)
-        u = solve_coho_manifold(g, sol.B, rho, lam, k, warn_below)
+        u = solve_cohomological(g, sol.B, rho, float(lam) ** k, warn_below)
         a.append(FourierField.from_values(mesh, C_shift.matvec(u.shift(rho).values)))
 
     errors = _expansion_errors(qpmap, a, lam, rho, inverse=True)

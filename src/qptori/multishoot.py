@@ -23,14 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .flowmap import PoincareSpec, poincare, section_map
+from .flowmap import PoincareSpec, advance_grid, section_map
 from .fourier import FourierField, FourierMatrix, MeshSpec
 from .manifold import ManifoldExpansion, stable_expansion, unstable_expansion
 from .torus import TorusSolution
 
 
 class LiftedMap:
-    """Single-shooting view of the r-section problem (the grid-sweep protocol)."""
+    """Single-shooting view of the r-section problem.
+
+    This is the grid-sweep map of the torus and manifold algorithms for
+    every section count r >= 1; with r = 1 it is the plain return map.  It
+    offers ``n``, ``d``, ``rho``, ``images``, ``images_and_jacobian`` and
+    ``transport_series`` over batches of grid points.
+    """
 
     def __init__(self, P: PoincareSpec):
         self.P = P
@@ -74,6 +80,11 @@ class LiftedMap:
         return vals, jac
 
     def transport_series(self, tables, thetas, order, inverse=False):
+        """Push truncated sigma-series through the map.
+
+        ``tables`` stacks the series coefficients, shape (k, batch, n); the
+        result has shape (order+1, batch, n).
+        """
         tables = np.asarray(tables, dtype=float)
         out = np.empty((order + 1,) + tables.shape[1:])
         for j, src, dst in self._routes(inverse):
@@ -81,11 +92,6 @@ class LiftedMap:
             img = section_map(self.P, j, seeds, thetas, spec, inverse=inverse)
             out[:, :, self._block(dst)] = np.moveaxis(img, -1, 0)
         return out
-
-
-def lift_to_blocks(P: PoincareSpec) -> LiftedMap:
-    """The explicit block lift; with r = 1 it is the plain return map."""
-    return LiftedMap(P)
 
 
 def lifted_seed(lift: LiftedMap, mesh: MeshSpec, x0) -> tuple[FourierField, FourierMatrix, np.ndarray]:
@@ -167,7 +173,7 @@ def spectral_consistency(
     idx = rng.choice(single.mesh.M, size=min(npoints, single.mesh.M), replace=False)
     x = pts[idx]
     thetas = single.mesh.grid()[idx]
-    direct = poincare(P, x, thetas)
+    direct = advance_grid(P, x, thetas, 0.0, 1.0)
     comp = x
     for j in range(1, r + 1):
         comp = section_map(P, j, comp, (thetas + (j - 1) * P.rho_section) % 1.0)

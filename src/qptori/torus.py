@@ -164,11 +164,6 @@ def solve_cohomological(
     return FourierField(mesh, n, coeffs=u)
 
 
-def solve_coho_torus(g: FourierField, B, rho, warn_below: float = 1e-8) -> FourierField:
-    """u(theta+rho) = B u(theta) + g(theta)."""
-    return solve_cohomological(g, B, rho, 1.0, warn_below)
-
-
 def solve_coho_floquet(
     Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho, warn_below: float = 1e-8
 ) -> FourierMatrix:
@@ -267,7 +262,7 @@ def torus_correction(
     mesh = phi.mesh
     g_vals = -C_inv_shift.matvec(y_grid)
     g = FourierField.from_values(mesh, g_vals)
-    u = solve_coho_torus(g, B, qpmap.rho, warn_below)
+    u = solve_cohomological(g, B, qpmap.rho, 1.0, warn_below)
     h_vals = C.matvec(u.values)
     h = FourierField.from_values(mesh, h_vals)
     return FourierField.from_values(mesh, phi.values + h_vals), h

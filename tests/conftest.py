@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from qptori import (
-    FourierField,
-    FourierMatrix,
+    LiftedMap,
     MeshSpec,
     NewtonConfig,
     PoincareSpec,
-    SingleShootingMap,
+    lifted_seed,
     pendulum_field,
     run_newton,
 )
-from qptori.flowmap import jacobian_at
 
 
 def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
@@ -21,26 +19,23 @@ def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
     return field, mesh, P
 
 
-def newton_seed(P, mesh):
-    x0 = np.array([np.pi, 0.0])
-    phi0 = FourierField.from_values(mesh, np.broadcast_to(x0, mesh.shape + (2,)).copy())
-    C0 = FourierMatrix.identity(mesh, 2)
-    B0 = jacobian_at(P, x0, np.zeros(mesh.d))
-    return phi0, C0, B0
+def newton_seed(lift, mesh):
+    """Constant seed at the saddle (pi, 0) of the unforced pendulum."""
+    return lifted_seed(lift, mesh, np.array([np.pi, 0.0]))
 
 
 @pytest.fixture(scope="session")
 def d1_torus():
     """Converged d=1 pendulum torus, shared by the manifold and verify tests."""
     field, mesh, P = pendulum_setup(1, 31)
-    qpmap = SingleShootingMap(P)
-    sol = run_newton(qpmap, *newton_seed(P, mesh), NewtonConfig())
+    qpmap = LiftedMap(P)
+    sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
     return P, qpmap, sol
 
 
 @pytest.fixture(scope="session")
 def d2_torus():
     field, mesh, P = pendulum_setup(2, 31)
-    qpmap = SingleShootingMap(P)
-    sol = run_newton(qpmap, *newton_seed(P, mesh), NewtonConfig())
+    qpmap = LiftedMap(P)
+    sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
     return P, qpmap, sol

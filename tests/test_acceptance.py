@@ -21,18 +21,16 @@ import pytest
 
 from qptori import (
     FourierField,
+    LiftedMap,
     MeshSpec,
     NewtonConfig,
-    SingleShootingMap,
     parallel,
-    pendulum_field,
     run_newton,
 )
 from qptori.errors import ResonanceError
-from qptori.flowmap import PoincareSpec, jacobian_at, map_with_jacobian, poincare
-from qptori.manifold import solve_coho_manifold, stable_expansion, unstable_expansion
-from qptori.multishoot import MultiTorus, lift_to_blocks, lifted_seed, spectral_consistency
-from qptori.torus import solve_coho_floquet, solve_coho_torus
+from qptori.manifold import stable_expansion, unstable_expansion
+from qptori.multishoot import MultiTorus, lifted_seed, spectral_consistency
+from qptori.torus import solve_coho_floquet, solve_cohomological
 from qptori.verify import test_order, torus_suite
 
 from conftest import newton_seed, pendulum_setup
@@ -70,8 +68,8 @@ def summary(num, title, ok, detail):
 def d4_run():
     """The full-scale run: d=4 pendulum torus, N=31 per angle, one worker."""
     field, mesh, P = pendulum_setup(4, 31)
-    qpmap = SingleShootingMap(P)
-    seed = newton_seed(P, mesh)
+    qpmap = LiftedMap(P)
+    seed = newton_seed(qpmap, mesh)
     parallel.set_workers(1)
     parallel.profile.reset()
     t0 = time.perf_counter()
@@ -85,8 +83,8 @@ def d4_run():
 def d2_pipeline():
     """The desk-scale pipeline: d=2 torus, both manifold branches to m=6."""
     field, mesh, P = pendulum_setup(2, 31)
-    qpmap = SingleShootingMap(P)
-    seed = newton_seed(P, mesh)
+    qpmap = LiftedMap(P)
+    seed = newton_seed(qpmap, mesh)
     parallel.set_workers(1)
     t0 = time.perf_counter()
     sol = run_newton(qpmap, *seed, NewtonConfig())
@@ -206,7 +204,7 @@ class TestCriterion4:
                     warnings.simplefilter("ignore", RuntimeWarning)
                     if variant == "torus":
                         g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (n,)))
-                        u = solve_coho_torus(g, B, rho)
+                        u = solve_cohomological(g, B, rho)
                         lhs = u.shift(rho).values
                         rhs = np.einsum("ij,...j->...i", B, u.values) + g.values
                     elif variant == "floquet":
@@ -220,7 +218,7 @@ class TestCriterion4:
                         mags = np.abs(np.linalg.eigvals(B))
                         lam = float(mags.max() if done % 2 else mags.min())
                         g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (n,)))
-                        u = solve_coho_manifold(g, B, rho, lam, m)
+                        u = solve_cohomological(g, B, rho, lam**m)
                         lhs = lam**m * u.shift(rho).values
                         rhs = np.einsum("ij,...j->...i", B, u.values) + g.values
             except ResonanceError:
@@ -246,7 +244,7 @@ class TestCriterion5:
         # jet jacobian against central differences at 10 random points
         x = np.array([np.pi, 0.0]) + 0.1 * rng.standard_normal((10, 2))
         thetas = rng.random((10, 1))
-        _, jacs = map_with_jacobian(P, x, thetas)
+        _, jacs = qpmap.images_and_jacobian(x, thetas)
         h = 1e-5
         fd_err = 0.0
         for k in range(10):
@@ -254,8 +252,8 @@ class TestCriterion5:
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fp = poincare(P, (x[k] + e)[None], thetas[k][None])[0]
-                fm = poincare(P, (x[k] - e)[None], thetas[k][None])[0]
+                fp = qpmap.images((x[k] + e)[None], thetas[k][None])[0]
+                fm = qpmap.images((x[k] - e)[None], thetas[k][None])[0]
                 fd[:, j] = (fp - fm) / (2 * h)
             fd_err = max(fd_err, np.abs(jacs[k] - fd).max() / np.abs(jacs[k]).max())
 
@@ -268,13 +266,14 @@ class TestCriterion5:
         tables = np.stack([a0[None], a1[None]])
         b2 = qpmap.transport_series(tables, theta[None], order=2)[2][0]
         hs = 1e-4
-        f = lambda s: poincare(P, (a0 + s * a1)[None], theta[None])[0]
+        f = lambda s: qpmap.images((a0 + s * a1)[None], theta[None])[0]
         fd2 = (f(hs) - 2 * f(0.0) + f(-hs)) / hs**2 / 2.0
         b2_err = float(np.linalg.norm(fd2 - b2) / max(1.0, np.linalg.norm(b2)))
 
         # unforced pendulum: the unstable multiplier is known in closed form
         field, mesh0, P0 = pendulum_setup(1, 5, eps=0.0)
-        mult = np.abs(np.linalg.eigvals(jacobian_at(P0, np.array([np.pi, 0.0]), np.zeros(1)))).max()
+        _, jac0 = LiftedMap(P0).images_and_jacobian(np.array([[np.pi, 0.0]]), np.zeros((1, 1)))
+        mult = np.abs(np.linalg.eigvals(jac0[0])).max()
         exact = np.exp(2 * np.pi * np.sqrt(0.8))
         mult_err = abs(mult - exact) / exact
 
@@ -295,7 +294,7 @@ class TestCriterion6:
     def test_multiple_shooting_spectrum(self, d2_pipeline):
         single = d2_pipeline["sol"]
         field, mesh, P2 = pendulum_setup(2, 31, r=2)
-        lift = lift_to_blocks(P2)
+        lift = LiftedMap(P2)
         seed = lifted_seed(lift, mesh, np.array([np.pi, 0.0]))
         sol2 = run_newton(lift, *seed, NewtonConfig())
         multi = MultiTorus.from_lifted(sol2, 2)
@@ -357,11 +356,11 @@ class TestCriterion8:
             )
             pytest.xfail("host has fewer than 8 CPU cores")
         field, mesh, P = pendulum_setup(4, 31)
-        qpmap = SingleShootingMap(P)
+        qpmap = LiftedMap(P)
         try:
             parallel.set_workers(8)
             t0 = time.perf_counter()
-            run_newton(qpmap, *newton_seed(P, mesh), NewtonConfig())
+            run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
             wall8 = time.perf_counter() - t0
         finally:
             parallel.set_workers(1)

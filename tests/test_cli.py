@@ -106,6 +106,14 @@ class TestResume:
         config = CONFIG_D1.replace("eps = 0.01", "eps = 0.01\nomega = 1.0 1.7")
         assert self._resume(run_dir, tmp_path, config) == 5
 
+    def test_other_mesh_refused(self, run_dir, tmp_path, capsys):
+        # an N=31 artifact cannot stand for an N=15 run: nothing is solved or saved
+        config = CONFIG_D1.replace("N = 31", "N = 15")
+        assert self._resume(run_dir, tmp_path, config) == 5
+        assert "does not match the configured mesh" in capsys.readouterr().err
+        assert not (tmp_path / "torus_report.json").exists()
+        assert not (tmp_path / "torus.phi.bin").exists()
+
 
 class TestManifoldCommand:
     def test_artifacts_written(self, run_dir):
@@ -124,6 +132,14 @@ class TestManifoldCommand:
             assert entry["orders_pass"]
             assert max(entry["order_errors"]) <= 1e-10
             assert all(t["passed"] for t in entry["tests"])
+
+    def test_other_mesh_refused(self, run_dir, tmp_path, capsys):
+        out, _ = run_dir
+        config = tmp_path / "other.ini"
+        config.write_text(CONFIG_D1.replace("N = 31", "N = 15"))
+        argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--resume", str(out / "torus")]) == 5
+        assert "does not match the configured mesh" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

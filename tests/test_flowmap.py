@@ -3,17 +3,9 @@ import pytest
 
 from qptori import jets
 from qptori.errors import IntegrationError
-from qptori.flowmap import (
-    PoincareSpec,
-    QPVectorField,
-    integrate_span,
-    jacobian_at,
-    map_with_jacobian,
-    poincare,
-    poincare_inverse,
-    section_map,
-)
+from qptori.flowmap import QPVectorField, integrate_span, section_map
 from qptori.models import pendulum_field
+from qptori.multishoot import LiftedMap
 
 from conftest import pendulum_setup
 
@@ -102,17 +94,18 @@ class TestIntegrate:
         assert np.abs(back - y0).max() < 1e-11
 
 
+# the return map is the r = 1 lift
 class TestPoincare:
     def test_unforced_fixed_point(self):
         field, mesh, P = pendulum_setup(1, 31, eps=0.0)
-        img = poincare(P, np.array([np.pi, 0.0]), np.zeros(1))
+        img = LiftedMap(P).images(np.array([[np.pi, 0.0]]), np.zeros((1, 1)))[0]
         assert np.abs(img - [np.pi, 0.0]).max() < 1e-13
 
     def test_unforced_multipliers(self):
         # linearization at (pi, 0) is xi'' = alpha xi: multipliers e^{+-2 pi sqrt(alpha)}
         field, mesh, P = pendulum_setup(1, 31, eps=0.0)
-        jac = jacobian_at(P, np.array([np.pi, 0.0]), np.zeros(1))
-        eig = np.sort(np.linalg.eigvals(jac).real)
+        _, jac = LiftedMap(P).images_and_jacobian(np.array([[np.pi, 0.0]]), np.zeros((1, 1)))
+        eig = np.sort(np.linalg.eigvals(jac[0]).real)
         expected = np.exp(2 * np.pi * np.sqrt(0.8))
         assert abs(eig[1] - expected) / expected < 1e-10
         assert abs(eig[0] - 1.0 / expected) / (1.0 / expected) < 1e-10
@@ -122,13 +115,14 @@ class TestPoincare:
         rng = np.random.default_rng(2)
         x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((4, 2))
         theta = rng.random((4, 1))
-        img = poincare(P, x, theta)
-        back = poincare_inverse(P, img, (theta + P.rho) % 1.0)
+        lift = LiftedMap(P)
+        img = lift.images(x, theta)
+        back = lift.images(img, (theta + lift.rho) % 1.0, inverse=True)
         assert np.abs(back - x).max() < 1e-11
 
     def test_inverse_fixed_point(self):
         field, mesh, P = pendulum_setup(1, 31, eps=0.0)
-        img = poincare_inverse(P, np.array([np.pi, 0.0]), np.zeros(1))
+        img = LiftedMap(P).images(np.array([[np.pi, 0.0]]), np.zeros((1, 1)), inverse=True)[0]
         assert np.abs(img - [np.pi, 0.0]).max() < 1e-13
 
     def test_inverse_jacobian_reciprocal(self):
@@ -136,8 +130,9 @@ class TestPoincare:
         rng = np.random.default_rng(3)
         x = np.array([np.pi, 0.0]) + 0.02 * rng.standard_normal((3, 2))
         theta = rng.random((3, 1))
-        img, fwd = map_with_jacobian(P, x, theta)
-        _, bwd = map_with_jacobian(P, img, (theta + P.rho) % 1.0, inverse=True)
+        lift = LiftedMap(P)
+        img, fwd = lift.images_and_jacobian(x, theta)
+        _, bwd = lift.images_and_jacobian(img, (theta + lift.rho) % 1.0, inverse=True)
         prod = bwd @ fwd
         assert np.abs(prod - np.eye(2)).max() < 1e-9
 
@@ -145,7 +140,7 @@ class TestPoincare:
         field, mesh, P = pendulum_setup(1, 31)
         rng = np.random.default_rng(4)
         x = np.array([np.pi, 0.0]) + 0.1 * rng.standard_normal((5, 2))
-        _, jac = map_with_jacobian(P, x, rng.random((5, 1)))
+        _, jac = LiftedMap(P).images_and_jacobian(x, rng.random((5, 1)))
         assert (np.linalg.det(jac) > 0).all()
 
 
@@ -155,13 +150,14 @@ class TestJacobianOracle:
         rng = np.random.default_rng(5)
         x = np.array([np.pi, 0.0]) + 0.1 * rng.standard_normal((10, 2))
         theta = rng.random((10, 1))
-        _, jac = map_with_jacobian(P, x, theta)
+        lift = LiftedMap(P)
+        _, jac = lift.images_and_jacobian(x, theta)
         h = 1e-5
         for col in range(2):
             e = np.zeros(2)
             e[col] = h
-            plus = poincare(P, x + e, theta)
-            minus = poincare(P, x - e, theta)
+            plus = lift.images(x + e, theta)
+            minus = lift.images(x - e, theta)
             fd = (plus - minus) / (2 * h)
             scale = np.maximum(1.0, np.abs(jac[:, :, col]))
             assert (np.abs(fd - jac[:, :, col]) / scale).max() < 1e-6
@@ -173,7 +169,7 @@ class TestSectionMap:
         rng = np.random.default_rng(6)
         x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((3, 2))
         theta = rng.random((3, 1))
-        assert np.abs(section_map(P, 1, x, theta) - poincare(P, x, theta)).max() < 1e-14
+        assert np.abs(section_map(P, 1, x, theta) - LiftedMap(P).images(x, theta)).max() < 1e-14
 
     def test_section_index_range(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)
@@ -184,10 +180,11 @@ class TestSectionMap:
         # chaining the r section maps with the per-section angle advance
         # reproduces the full return map
         field, mesh, P = pendulum_setup(1, 31, r=3)
+        _, _, P1 = pendulum_setup(1, 31, r=1)
         rng = np.random.default_rng(7)
         x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((4, 2))
         theta = rng.random((4, 1))
-        direct = poincare(P, x, theta)
+        direct = LiftedMap(P1).images(x, theta)
         comp = x
         for j in range(1, P.r + 1):
             comp = section_map(P, j, comp, (theta + (j - 1) * P.rho_section) % 1.0)
@@ -205,7 +202,7 @@ class TestSectionMap:
         seeds2, spec2 = jets.seed_gradient(x1)
         out2 = section_map(P2, 2, seeds2, (theta + P2.rho_section) % 1.0, spec2)
         _, A2 = jets.split_gradient(out2)
-        _, full = map_with_jacobian(P1, x, theta)
+        _, full = LiftedMap(P1).images_and_jacobian(x, theta)
         prod_eigs = np.sort(np.linalg.eigvals(A2[0] @ A1[0]).real)
         full_eigs = np.sort(np.linalg.eigvals(full[0]).real)
         assert np.abs(prod_eigs - full_eigs).max() / np.abs(full_eigs).max() < 1e-8
@@ -218,7 +215,7 @@ class TestSectionMap:
         field, mesh, P = pendulum_setup(1, 31, r=2)
         expected = (np.sqrt(2.0) / 2.0) % 1.0
         assert P.rho_section[0] == pytest.approx(expected, abs=1e-15)
-        assert P.rho_section[0] != pytest.approx((P.rho[0] / 2.0) % 1.0, abs=1e-3)
+        assert P.rho_section[0] != pytest.approx((field.rho[0] / 2.0) % 1.0, abs=1e-3)
 
 
 class TestPeriodicity:

@@ -7,7 +7,6 @@ from qptori.fourier import (
     MeshSpec,
     analyze,
     coeff_index_to_tuple,
-    grid_index_to_tuple,
     synthesize,
 )
 
@@ -33,23 +32,30 @@ class TestMeshSpec:
 
 
 class TestGridIndex:
+    """Flat grid index ell of ``MeshSpec.grid()`` is the row-major kappa."""
+
     def test_zero(self):
-        assert grid_index_to_tuple(0, MeshSpec((3, 5))) == (0, 0)
+        assert tuple(MeshSpec((3, 5)).grid()[0]) == (0.0, 0.0)
 
     def test_row_major(self):
         mesh = MeshSpec((3, 5))
-        assert grid_index_to_tuple(7, mesh) == (1, 2)
-        assert grid_index_to_tuple(14, mesh) == (2, 4)
+        grid = mesh.grid()
+        assert tuple(grid[7]) == (1 / 3, 2 / 5)
+        assert tuple(grid[14]) == (2 / 3, 4 / 5)
+        # grid values reshape to mesh.shape with kappa as the leading index
+        f = FourierField.from_function(mesh, lambda th: th, 2)
+        assert tuple(f.values[1, 2]) == (1 / 3, 2 / 5)
 
     def test_bijection(self):
         mesh = MeshSpec((3, 5, 7))
-        seen = {grid_index_to_tuple(ell, mesh) for ell in range(mesh.M)}
+        kappas = np.rint(mesh.grid() * np.array(mesh.shape)).astype(int)
+        seen = {tuple(k) for k in kappas}
         assert len(seen) == mesh.M
         assert all(all(0 <= k < N for k, N in zip(t, mesh.shape)) for t in seen)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            grid_index_to_tuple(15, MeshSpec((3, 5)))
+            MeshSpec((3, 5)).grid()[15]
 
 
 class TestCoeffIndex:
@@ -194,17 +200,6 @@ class TestPersistence:
         with pytest.raises(IOError):
             FourierField.load(path)
 
-    def test_csv_rows(self, tmp_path):
-        mesh = MeshSpec((5, 5))
-        f = FourierField.from_values(
-            mesh, np.random.default_rng(6).standard_normal(mesh.shape + (2,))
-        )
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + mesh.Mbar
-        assert lines[0] == "k1,k2,c0,c1,s0,s1"
-
 
 class TestFourierMatrix:
     def test_identity_matvec(self):
@@ -220,7 +215,7 @@ class TestFourierMatrix:
             mesh.shape + (2, 2)
         )
         A = FourierMatrix(mesh, vals)
-        prod = A.matmat(A.inv()).values
+        prod = A.values @ A.inv().values
         assert np.abs(prod - np.eye(2)).max() < 1e-12
 
     def test_shift_roundtrip(self):

@@ -8,12 +8,12 @@ from qptori.manifold import (
     eigen_pick,
     estimate_radius,
     rescale,
-    solve_coho_manifold,
     stable_expansion,
     unstable_expansion,
 )
+from qptori.torus import solve_cohomological
 
-from conftest import pendulum_setup
+from conftest import newton_seed, pendulum_setup
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestCohoManifold:
         # (lambda^2 - B) u = g on the DC block: (4 - 2) u = g
         mesh = MeshSpec((5,))
         g = FourierField.from_values(mesh, np.full(mesh.shape + (1,), 1.0))
-        u = solve_coho_manifold(g, np.array([[2.0]]), np.array([0.3]), lam=2.0, m=2)
+        u = solve_cohomological(g, np.array([[2.0]]), np.array([0.3]), 2.0**2)
         assert np.abs(u.values - 0.5).max() < 1e-14
 
     def test_functional_residual(self, d1_torus):
@@ -65,7 +65,7 @@ class TestCohoManifold:
         lam, _ = eigen_pick(sol.B, "unstable")
         for m in range(2, 11):
             g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (2,)))
-            u = solve_coho_manifold(g, sol.B, sol.rho, lam, m)
+            u = solve_cohomological(g, sol.B, sol.rho, float(lam) ** m)
             lhs = lam**m * u.shift(sol.rho).values
             rhs = np.einsum("ij,...j->...i", sol.B, u.values) + g.values
             scale = max(1.0, np.abs(lhs).max())
@@ -125,18 +125,12 @@ class TestExpansions:
         # for the unforced pendulum, (x, y) -> (x, -y) with time reversal
         # maps the unstable manifold of (pi, 0) onto the stable one; the two
         # expansions agree up to that flip and a sigma rescaling
-        from qptori.flowmap import SingleShootingMap, jacobian_at
-        from qptori.fourier import FourierMatrix
+        from qptori.multishoot import LiftedMap
         from qptori.torus import NewtonConfig, run_newton
 
         field, mesh, P = pendulum_setup(1, 15, eps=0.0)
-        qpmap = SingleShootingMap(P)
-        x0 = np.array([np.pi, 0.0])
-        phi0 = FourierField.from_values(mesh, np.broadcast_to(x0, mesh.shape + (2,)).copy())
-        sol = run_newton(
-            qpmap, phi0, FourierMatrix.identity(mesh, 2), jacobian_at(P, x0, np.zeros(1)),
-            NewtonConfig(),
-        )
+        qpmap = LiftedMap(P)
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
         uns = unstable_expansion(sol, qpmap, m=4)
         sta = stable_expansion(sol, qpmap, m=4)
         flip = np.array([1.0, -1.0])

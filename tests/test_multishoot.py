@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from qptori.flowmap import SingleShootingMap, poincare
+from qptori import jets
+from qptori.flowmap import advance_grid
 from qptori.manifold import unstable_expansion
 from qptori.multishoot import (
     LiftedMap,
     MultiTorus,
-    lift_to_blocks,
     lifted_seed,
     manifold_multishoot,
     spectral_consistency,
@@ -20,7 +20,7 @@ from conftest import pendulum_setup
 def r2_solution(d1_torus):
     """d=1 pendulum torus recomputed with two shooting sections."""
     field, mesh, P = pendulum_setup(1, 31, r=2)
-    lift = lift_to_blocks(P)
+    lift = LiftedMap(P)
     seed = lifted_seed(lift, mesh, np.array([np.pi, 0.0]))
     sol = run_newton(lift, *seed, NewtonConfig())
     return P, lift, sol
@@ -28,17 +28,32 @@ def r2_solution(d1_torus):
 
 class TestLift:
     def test_r1_lift_is_plain_map(self):
+        # bitwise: with one section the lift is a single full-return sweep,
+        # for images, differentials and series, forward and inverse
         field, mesh, P = pendulum_setup(1, 31, r=1)
-        lift = lift_to_blocks(P)
+        lift = LiftedMap(P)
         rng = np.random.default_rng(0)
         x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((4, 2))
         theta = rng.random((4, 1))
-        assert np.abs(lift.images(x, theta) - poincare(P, x, theta)).max() < 1e-14
-        assert np.allclose(lift.rho, P.rho)
+        tables = np.stack([x, 0.1 * rng.standard_normal((4, 2))])
+        for inverse, fracs in ((False, (0.0, 1.0)), (True, (1.0, 0.0))):
+            plain = advance_grid(P, x, theta, *fracs)
+            assert np.array_equal(lift.images(x, theta, inverse=inverse), plain)
+
+            seeds, spec = jets.seed_gradient(x)
+            vals, jac = jets.split_gradient(advance_grid(P, seeds, theta, *fracs, spec))
+            lift_vals, lift_jac = lift.images_and_jacobian(x, theta, inverse=inverse)
+            assert np.array_equal(lift_vals, vals)
+            assert np.array_equal(lift_jac, jac)
+
+            seeds, spec = jets.seed_series(tables, 3)
+            series = np.moveaxis(advance_grid(P, seeds, theta, *fracs, spec), -1, 0)
+            assert np.array_equal(lift.transport_series(tables, theta, 3, inverse=inverse), series)
+        assert np.array_equal(lift.rho, field.rho)
 
     def test_lifted_rotation(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)
-        lift = lift_to_blocks(P)
+        lift = LiftedMap(P)
         assert np.allclose(lift.rho, P.rho_section)
 
     def test_cyclic_block_permutation(self):
@@ -46,7 +61,7 @@ class TestLift:
         # to block j-1 of the input (cyclically): checked by routing a
         # recognizable state through one section at a time
         field, mesh, P = pendulum_setup(1, 31, r=3)
-        lift = lift_to_blocks(P)
+        lift = LiftedMap(P)
         rng = np.random.default_rng(1)
         x = np.tile([np.pi, 0.0], 3) + 0.02 * rng.standard_normal((1, 6))
         theta = rng.random((1, 1))
@@ -62,7 +77,7 @@ class TestLift:
 
     def test_inverse_roundtrip(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)
-        lift = lift_to_blocks(P)
+        lift = LiftedMap(P)
         rng = np.random.default_rng(2)
         x = np.array([np.pi, 0.0, np.pi, 0.0]) + 0.02 * rng.standard_normal((3, 4))
         theta = rng.random((3, 1))
@@ -131,7 +146,7 @@ class TestSpectralConsistency:
 class TestLiftedManifold:
     def test_r1_matches_single_shooting(self, d1_torus):
         P, qpmap, sol = d1_torus
-        lift = lift_to_blocks(P)
+        lift = LiftedMap(P)
         single = unstable_expansion(sol, qpmap, m=3)
         sections = manifold_multishoot(sol, lift, "unstable", m=3)
         assert len(sections) == 1

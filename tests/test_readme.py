@@ -1,0 +1,14 @@
+"""The README's Python quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace = {"__name__": "readme_quick_start"}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["sol"].history[-1]["invariance"] <= 1e-10
+    assert max(namespace["W"].order_errors) <= 1e-10

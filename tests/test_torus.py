@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qptori.errors import ConvergenceError, ResonanceError
-from qptori.fourier import FourierField, FourierMatrix, MeshSpec
+from qptori.fourier import FourierField, MeshSpec
+from qptori.multishoot import LiftedMap
 from qptori.torus import (
     NewtonConfig,
     TorusSolution,
@@ -10,7 +11,7 @@ from qptori.torus import (
     resonance_monitor,
     run_newton,
     solve_coho_floquet,
-    solve_coho_torus,
+    solve_cohomological,
     torus_correction,
 )
 
@@ -39,7 +40,7 @@ class TestCohoTorus:
     def test_constant_input(self):
         mesh = MeshSpec((5,))
         g = FourierField.from_values(mesh, np.full(mesh.shape + (1,), 3.0))
-        u = solve_coho_torus(g, np.array([[0.5]]), np.array([0.37]))
+        u = solve_cohomological(g, np.array([[0.5]]), np.array([0.37]))
         # DC block: u = g / (1 - 0.5)
         assert np.abs(u.values - 6.0).max() < 1e-13
 
@@ -50,7 +51,7 @@ class TestCohoTorus:
         rho = np.array([1.0 / (2 * np.pi)])
         g = FourierField.from_values(mesh, np.cos(2 * np.pi * theta)[:, None])
         B = np.array([[0.5]])
-        u = solve_coho_torus(g, B, rho)
+        u = solve_cohomological(g, B, rho)
         assert torus_residual(u, B, rho, g) < 1e-13
 
     def test_random_hyperbolic_residual(self):
@@ -61,7 +62,7 @@ class TestCohoTorus:
             B = random_hyperbolic(rng, n)
             rho = rng.random(2)
             g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (n,)))
-            u = solve_coho_torus(g, B, rho)
+            u = solve_cohomological(g, B, rho)
             assert torus_residual(u, B, rho, g) < 1e-12
 
     def test_resonant_block_raises(self):
@@ -69,14 +70,14 @@ class TestCohoTorus:
         mesh = MeshSpec((5,))
         g = FourierField.from_values(mesh, np.ones(mesh.shape + (1,)))
         with pytest.raises(ResonanceError) as err:
-            solve_coho_torus(g, np.array([[1.0]]), np.array([0.3]))
+            solve_cohomological(g, np.array([[1.0]]), np.array([0.3]))
         assert err.value.kappa == (0,)
 
     def test_small_divisor_warns(self):
         mesh = MeshSpec((5,))
         g = FourierField.from_values(mesh, np.ones(mesh.shape + (1,)))
         with pytest.warns(RuntimeWarning, match="small divisor"):
-            solve_coho_torus(g, np.array([[1.0 + 1e-10]]), np.array([0.3]))
+            solve_cohomological(g, np.array([[1.0 + 1e-10]]), np.array([0.3]))
 
 
 class TestCohoFloquet:
@@ -163,7 +164,7 @@ class TestNewton:
 
     def test_change_is_invertible(self, d1_torus):
         _, _, sol = d1_torus
-        prod = sol.C.matmat(sol.C_inv).values
+        prod = sol.C.values @ sol.C_inv.values
         assert np.abs(prod - np.eye(2)).max() < 1e-11
 
     def test_exact_seed_returns_immediately(self, d1_torus):
@@ -201,11 +202,9 @@ class TestNewton:
         # an absurdly tight threshold forces the round-off floor, where the
         # residual stops improving and the stagnation stop must trigger
         field, mesh, P = pendulum_setup(1, 15)
-        from qptori.flowmap import SingleShootingMap
-
-        qpmap = SingleShootingMap(P)
+        qpmap = LiftedMap(P)
         with pytest.raises(ConvergenceError):
-            run_newton(qpmap, *newton_seed(P, mesh), NewtonConfig(tol=1e-16, max_iter=12))
+            run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig(tol=1e-16, max_iter=12))
 
 
 class TestPersistence:

@@ -153,22 +153,26 @@ def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
     log.flush()
 
 
-def _check_resume(
-    prev: TorusSolution, prefix: str, mesh: MeshSpec, lift: LiftedMap, cfg: RunConfig
+def _check_artifact(
+    art: TorusSolution | ManifoldExpansion,
+    prefix: str,
+    mesh: MeshSpec,
+    lift: LiftedMap,
+    cfg: RunConfig,
 ) -> None:
-    """Refuse a torus artifact whose mesh, state size or rotation (the
-    section count and the frequencies) differ from the configured run."""
-    if prev.mesh.shape != mesh.shape:
+    """Refuse a torus or manifold artifact whose mesh, state size or rotation
+    (the section count and the frequencies) differ from the configured run."""
+    if art.mesh.shape != mesh.shape:
         raise ArtifactError(
-            f"torus artifact {prefix} mesh {prev.mesh.shape} does not match "
+            f"artifact {prefix} mesh {art.mesh.shape} does not match "
             f"the configured mesh {mesh.shape}"
         )
     rho = np.asarray(lift.rho, dtype=float)
-    if prev.n != lift.n or prev.rho.shape != rho.shape or not np.allclose(
-        prev.rho, rho, rtol=0.0, atol=1e-12
+    if art.n != lift.n or art.rho.shape != rho.shape or not np.allclose(
+        art.rho, rho, rtol=0.0, atol=1e-12
     ):
         raise ArtifactError(
-            f"torus artifact {prefix} (n={prev.n}, rho={list(prev.rho)}) does not match "
+            f"artifact {prefix} (n={art.n}, rho={list(art.rho)}) does not match "
             f"the configured map (n={lift.n}, rho={list(rho)}, sections={cfg.sections})"
         )
 
@@ -178,7 +182,7 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     log = _Log(out / "torus.log")
     if resume:
         prev = TorusSolution.load(resume)
-        _check_resume(prev, resume, mesh, lift, cfg)
+        _check_artifact(prev, resume, mesh, lift, cfg)
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
@@ -235,7 +239,7 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
     mesh, lift = _build_map(cfg)
     prefix = resume or str(out / "torus")
     sol = TorusSolution.load(prefix)
-    _check_resume(sol, prefix, mesh, lift, cfg)
+    _check_artifact(sol, prefix, mesh, lift, cfg)
     log = _Log(out / "manifold.log")
     parallel.profile.reset()
     t0 = time.perf_counter()
@@ -296,17 +300,19 @@ def _slice_manifold_csv(exp: ManifoldExpansion, path: Path, axis: int = 0, count
 
 
 def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
-    _, lift = _build_map(cfg)
+    mesh, lift = _build_map(cfg)
     log = _Log(out / "verify.log")
     reports = []
     ok = True
     for prefix in artifacts:
         if Path(f"{prefix}.phi.bin").exists():
             sol = TorusSolution.load(prefix)
+            _check_artifact(sol, prefix, mesh, lift, cfg)
             tests = torus_suite(lift, sol.phi, cfg.test_tol)
             kind = "torus"
         elif Path(f"{prefix}.a0.bin").exists():
             exp = ManifoldExpansion.load(prefix)
+            _check_artifact(exp, prefix, mesh, lift, cfg)
             tests = [test_tail(exp.coeffs[-1], cfg.test_tol), test_order(exp, lift)]
             kind = "manifold"
         else:

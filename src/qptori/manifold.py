@@ -9,10 +9,12 @@ sigma^k pad is pushed through the map with jet transport, the order-k
 coefficient b_k is read off, and the cohomological equation
 ``lambda^k u_k(theta+rho) = B u_k(theta) + g_k(theta)`` closes the order.
 
-The stable branch runs the same scheme through the inverse map.  Its
-coefficients are stored on the rho-shifted parametrization: the field at
-slot k holds a_k(theta + rho), and the transport evaluates the inverse map
-at angles theta + rho (where those states actually live).
+The stable branch is the same expansion of the inverse map.  From
+DP(phi(theta), theta) C(theta) = C(theta + rho) B it follows that
+DP^{-1} C(theta) = C(theta - rho) B^{-1}, so the stable manifold of P with
+multiplier lambda_s is the unstable manifold of P^{-1} with rotation -rho,
+Floquet matrix B^{-1} and multiplier 1/lambda_s, on the same phi and C.
+Both branches store a_k(theta) on the plain grid.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .torus import TorusSolution, solve_cohomological
 
 _TAIL_WARN = 1e-10
 _TAIL_FATAL = 1e-6
+# version of the manifold JSON; files without one hold the stable
+# coefficients on another convention and are refused
+_FORMAT = 2
 
 
 @dataclass
@@ -36,7 +41,7 @@ class ManifoldExpansion:
     branch: str
     lam: float
     v: np.ndarray
-    coeffs: list  # a_0 .. a_m as FourierFields (stable: a_k(theta+rho))
+    coeffs: list  # a_0 .. a_m as FourierFields
     scaling: float
     rho: np.ndarray
     order_errors: list = dc_field(default_factory=list)
@@ -54,7 +59,7 @@ class ManifoldExpansion:
         return self.coeffs[0].n
 
     def evaluate(self, theta, sigma: float) -> np.ndarray:
-        """W at one angle and parameter value (stable: the shifted W(theta+rho, sigma))."""
+        """W at one angle and parameter value."""
         out = np.zeros(self.n)
         power = 1.0
         for a in self.coeffs:
@@ -62,12 +67,9 @@ class ManifoldExpansion:
             power *= sigma
         return out
 
-    def tables(self) -> np.ndarray:
-        """Coefficient values stacked for jet seeding, shape (m+1, M, n)."""
-        return np.stack([a.values.reshape(self.mesh.M, self.n) for a in self.coeffs])
-
     def save(self, prefix: str) -> None:
         meta = {
+            "format": _FORMAT,
             "branch": self.branch,
             "lambda": self.lam,
             "scaling": self.scaling,
@@ -88,6 +90,11 @@ class ManifoldExpansion:
         try:
             with open(f"{prefix}.json") as fh:
                 meta = json.load(fh)
+            if meta.get("format") != _FORMAT:
+                raise ArtifactError(
+                    f"manifold artifact {prefix} has format {meta.get('format')}, "
+                    f"expected {_FORMAT}; recompute it"
+                )
             coeffs = [
                 FourierField.load(f"{prefix}.a{k}.bin")
                 for k in range(int(meta["order"]) + 1)
@@ -156,101 +163,78 @@ def _check_tail(b: FourierField, k: int) -> None:
         )
 
 
-def _matvec_grid(M: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,...j->...i", M, vals)
+def _tables(coeffs) -> np.ndarray:
+    """Coefficient values stacked for jet seeding, shape (k, M, n)."""
+    mesh, n = coeffs[0].mesh, coeffs[0].n
+    return np.stack([a.values.reshape(mesh.M, n) for a in coeffs])
 
 
-def _expansion_errors(qpmap, coeffs, lam, rho, inverse: bool) -> list[float]:
+def _direction(branch: str, lam: float, rho, B=None):
+    """The map a branch is expanded on, as ``(inverse, B_F, rho_F, lambda_F)``.
+
+    The unstable branch runs on P itself.  The stable branch runs on P^{-1},
+    whose Floquet matrix is B^{-1}, rotation -rho and multiplier 1/lambda,
+    so that F(W(theta, sigma), theta) = W(theta + rho_F, lambda_F sigma)
+    holds for the map F of either branch.  ``B_F`` is None when ``B`` is.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if branch == "unstable":
+        return False, B, rho, lam
+    return True, None if B is None else np.linalg.inv(B), -rho, 1.0 / lam
+
+
+def _expansion_errors(qpmap, coeffs, branch: str, lam: float, rho) -> list[float]:
     """Per-order invariance errors from one transport of the full expansion.
 
     Order i of the transported series is compared against the invariance
-    target (lambda^i a_i(theta+rho) forward, lambda^{-i} a_i(theta-rho) for
-    the inverse-map branch), relative to max(1, target norm).
+    target lambda_F^i a_i(theta + rho_F), relative to max(1, target norm).
     """
-    mesh = coeffs[0].mesh
-    n = coeffs[0].n
+    mesh, n = coeffs[0].mesh, coeffs[0].n
     m = len(coeffs) - 1
-    tabs = np.stack([a.values.reshape(mesh.M, n) for a in coeffs])
-    thetas = mesh.grid()
-    if inverse:
-        thetas = (thetas + rho) % 1.0
-    out = qpmap.transport_series(tabs, thetas, m, inverse=inverse)
+    inverse, _, rho_F, lam_F = _direction(branch, lam, rho)
+    out = qpmap.transport_series(_tables(coeffs), mesh.grid(), m, inverse=inverse)
     errors = []
     for i in range(m + 1):
-        if inverse:
-            target = lam ** (-i) * coeffs[i].shift(-np.asarray(rho)).values
-        else:
-            target = lam**i * coeffs[i].shift(rho).values
-        target = target.reshape(mesh.M, n)
+        target = (lam_F**i * coeffs[i].shift(rho_F).values).reshape(mesh.M, n)
         scale = max(1.0, float(np.sqrt((target * target).sum(-1)).max()))
         diff = out[i] - target
         errors.append(float(np.sqrt((diff * diff).sum(-1)).max()) / scale)
     return errors
 
 
-def unstable_expansion(
-    sol: TorusSolution, qpmap, m: int, c: float = 1.0, warn_below: float = 1e-8
-) -> ManifoldExpansion:
-    """Order-by-order expansion of the unstable branch through the map."""
+def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> ManifoldExpansion:
+    """Order-by-order expansion of one branch through the map of its direction."""
     if m < 1:
         raise ValueError("expansion order must be at least 1")
     mesh, n = sol.mesh, sol.n
     rho = np.asarray(sol.rho, dtype=float)
-    lam, v = eigen_pick(sol.B, "unstable", c)
+    lam, v = eigen_pick(sol.B, branch, c)
+    inverse, B_F, rho_F, lam_F = _direction(branch, lam, rho, sol.B)
 
     a = [sol.phi, FourierField.from_values(mesh, sol.C.matvec(np.broadcast_to(v, mesh.shape + (n,))))]
-    C_inv_shift = sol.C_inv.shift(rho)
+    C_inv_shift = sol.C_inv.shift(rho_F)
     thetas = mesh.grid()
 
     for k in range(2, m + 1):
-        tabs = np.stack([f.values.reshape(mesh.M, n) for f in a])
-        out = qpmap.transport_series(tabs, thetas, k)
+        out = qpmap.transport_series(_tables(a), thetas, k, inverse=inverse)
         b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
         _check_tail(b, k)
         g = FourierField.from_values(mesh, C_inv_shift.matvec(b.values))
-        u = solve_cohomological(g, sol.B, rho, float(lam) ** k, warn_below)
+        u = solve_cohomological(g, B_F, rho_F, float(lam_F) ** k)
         a.append(FourierField.from_values(mesh, sol.C.matvec(u.values)))
 
-    errors = _expansion_errors(qpmap, a, lam, rho, inverse=False)
-    return ManifoldExpansion("unstable", lam, v, a, c, rho, errors)
+    errors = _expansion_errors(qpmap, a, branch, lam, rho)
+    return ManifoldExpansion(branch, lam, v, a, c, rho, errors)
 
 
-def stable_expansion(
-    sol: TorusSolution, qpmap, m: int, c: float = 1.0, warn_below: float = 1e-8
-) -> ManifoldExpansion:
-    """Stable branch through the inverse map, on the shifted parametrization.
+def unstable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> ManifoldExpansion:
+    """Order-by-order expansion of the unstable branch through the map."""
+    return _expand(sol, qpmap, "unstable", m, c)
 
-    The stored fields hold a_k(theta + rho); the transport feeds them to the
-    inverse map at angles theta + rho, so each order-k table lands back on
-    the plain grid where the cohomological equation
-    ``lambda^k u_k(theta+rho) = B u_k(theta) - lambda^k B C^{-1}(theta) b_k(theta)``
-    is solved.
-    """
-    if m < 1:
-        raise ValueError("expansion order must be at least 1")
-    mesh, n = sol.mesh, sol.n
-    rho = np.asarray(sol.rho, dtype=float)
-    lam, v = eigen_pick(sol.B, "stable", c)
 
-    C_shift = sol.C.shift(rho)
-    a = [
-        sol.phi.shift(rho),
-        FourierField.from_values(mesh, C_shift.matvec(np.broadcast_to(v, mesh.shape + (n,)))),
-    ]
-    thetas = (mesh.grid() + rho) % 1.0
-
-    for k in range(2, m + 1):
-        tabs = np.stack([f.values.reshape(mesh.M, n) for f in a])
-        out = qpmap.transport_series(tabs, thetas, k, inverse=True)
-        b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
-        _check_tail(b, k)
-        g_vals = -(lam**k) * _matvec_grid(sol.B, sol.C_inv.matvec(b.values))
-        g = FourierField.from_values(mesh, g_vals)
-        u = solve_cohomological(g, sol.B, rho, float(lam) ** k, warn_below)
-        a.append(FourierField.from_values(mesh, C_shift.matvec(u.shift(rho).values)))
-
-    errors = _expansion_errors(qpmap, a, lam, rho, inverse=True)
-    return ManifoldExpansion("stable", lam, v, a, c, rho, errors)
+def stable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> ManifoldExpansion:
+    """Order-by-order expansion of the stable branch through the inverse map."""
+    return _expand(sol, qpmap, "stable", m, c)
 
 
 def rescale(exp: ManifoldExpansion, c_new: float) -> ManifoldExpansion:

@@ -26,15 +26,14 @@ from .errors import ConvergenceError, ResonanceError
 from .fourier import FourierField, FourierMatrix, MeshSpec, coeff_index_to_tuple
 
 _EYE = np.eye
+_DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
+_MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 12
-    stop_on_stagnation: bool = True
-    monitor_ratio: float = 1e4
-    divisor_warn: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -122,7 +121,7 @@ def _mode_phases(mesh: MeshSpec, rho) -> np.ndarray:
     return np.exp(1j * psi)
 
 
-def _check_divisors(divisors: np.ndarray, mesh: MeshSpec, warn_below: float, what: str):
+def _check_divisors(divisors: np.ndarray, mesh: MeshSpec, what: str):
     """Raise on an (almost) exactly singular block, warn on a small divisor."""
     worst = int(np.argmin(divisors))
     smallest = float(divisors.flat[worst])
@@ -132,7 +131,7 @@ def _check_divisors(divisors: np.ndarray, mesh: MeshSpec, warn_below: float, wha
             f"singular {what} block at kappa={kappa} (divisor {smallest:.3e})",
             kappa=kappa,
         )
-    if smallest < warn_below:
+    if smallest < _DIVISOR_WARN:
         kappa = coeff_index_to_tuple(worst, mesh)
         warnings.warn(
             f"small divisor {smallest:.3e} in {what} block at kappa={kappa}",
@@ -141,9 +140,7 @@ def _check_divisors(divisors: np.ndarray, mesh: MeshSpec, warn_below: float, wha
         )
 
 
-def solve_cohomological(
-    g: FourierField, B: np.ndarray, rho, factor: float = 1.0, warn_below: float = 1e-8
-) -> FourierField:
+def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0) -> FourierField:
     """Solve ``factor * u(theta+rho) = B u(theta) + g(theta)`` mode by mode.
 
     ``factor = 1`` is the torus equation; ``factor = lambda**m`` gives the
@@ -157,16 +154,14 @@ def solve_cohomological(
 
     mus = np.linalg.eigvals(B)
     divisors = np.abs(phases.reshape(-1, 1) - mus.reshape(1, -1)).min(axis=1)
-    _check_divisors(divisors, mesh, warn_below, "cohomological")
+    _check_divisors(divisors, mesh, "cohomological")
 
     blocks = phases[..., None, None] * _EYE(n) - B
     u = np.linalg.solve(blocks, g.coeffs[..., None])[..., 0]
     return FourierField(mesh, n, coeffs=u)
 
 
-def solve_coho_floquet(
-    Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho, warn_below: float = 1e-8
-) -> FourierMatrix:
+def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho) -> FourierMatrix:
     """Solve ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` with Avg(H) = 0.
 
     ``Rt_values`` are grid values of the zero-average right-hand side, shape
@@ -183,9 +178,7 @@ def solve_coho_floquet(
     mus = np.linalg.eigvals(B)
     ratio = phases[1:].reshape(-1, 1, 1) * mus.reshape(1, -1, 1) - mus.reshape(1, 1, -1)
     divisors = np.abs(ratio).reshape(len(phases) - 1, -1).min(axis=1)
-    _check_divisors(
-        np.concatenate([[np.inf], divisors]), mesh, warn_below, "Floquet"
-    )
+    _check_divisors(np.concatenate([[np.inf], divisors]), mesh, "Floquet")
 
     left = np.kron(_EYE(n), B.T)
     right = np.kron(B, _EYE(n))
@@ -199,11 +192,11 @@ def solve_coho_floquet(
 # -- diagnostics -----------------------------------------------------------
 
 
-def resonance_monitor(correction: FourierField, ratio: float = 1e4) -> list[tuple[int, ...]]:
+def resonance_monitor(correction: FourierField) -> list[tuple[int, ...]]:
     """Flag correction modes that break the expected decay.
 
     Modes are grouped by sup-norm shells |kappa|; a mode is flagged when it
-    exceeds the previous shell's median by more than ``ratio``.  A smooth
+    exceeds the previous shell's median by more than ``_MONITOR_RATIO``.  A smooth
     geometric decay produces an empty report; a resonance shows up as one
     anomalously large mode.
     """
@@ -214,7 +207,7 @@ def resonance_monitor(correction: FourierField, ratio: float = 1e4) -> list[tupl
         prev = norms[shells == s - 1]
         if prev.size == 0:
             continue
-        cut = ratio * float(np.median(prev))
+        cut = _MONITOR_RATIO * float(np.median(prev))
         for idx in np.nonzero((shells == s) & (norms > max(cut, 1e-14)))[0]:
             flagged.append(coeff_index_to_tuple(int(idx), correction.mesh))
     return flagged
@@ -252,7 +245,6 @@ def torus_correction(
     C_inv_shift: FourierMatrix,
     B: np.ndarray,
     y_grid: np.ndarray,
-    warn_below: float = 1e-8,
 ) -> tuple[FourierField, FourierField]:
     """One torus half-step from the invariance error y = phi(.+rho) - P(phi).
 
@@ -262,7 +254,7 @@ def torus_correction(
     mesh = phi.mesh
     g_vals = -C_inv_shift.matvec(y_grid)
     g = FourierField.from_values(mesh, g_vals)
-    u = solve_cohomological(g, B, qpmap.rho, 1.0, warn_below)
+    u = solve_cohomological(g, B, qpmap.rho, 1.0)
     h_vals = C.matvec(u.values)
     h = FourierField.from_values(mesh, h_vals)
     return FourierField.from_values(mesh, phi.values + h_vals), h
@@ -274,7 +266,6 @@ def floquet_correction(
     C: FourierMatrix,
     C_inv_shift: FourierMatrix,
     B: np.ndarray,
-    warn_below: float = 1e-8,
 ) -> tuple[FourierMatrix, np.ndarray]:
     """One Floquet half-step from the map differentials on the mesh.
 
@@ -285,7 +276,7 @@ def floquet_correction(
     avg = R.reshape(-1, C.n, C.n).mean(axis=0)
     B_new = B + avg
     Rt = R - avg
-    H = solve_coho_floquet(Rt, mesh, B_new, qpmap.rho, warn_below)
+    H = solve_coho_floquet(Rt, mesh, B_new, qpmap.rho)
     eye = _EYE(C.n)
     C_new = FourierMatrix(mesh, C.values @ (eye + H.values))
     return C_new, B_new
@@ -327,16 +318,14 @@ def run_newton(
             return TorusSolution(phi, C, C_inv, B, rho, history, flags)
 
         y_grid = y.reshape(mesh.shape + (n,))
-        phi, h = torus_correction(
-            qpmap, phi, C, C_inv_shift, B, y_grid, cfg.divisor_warn
-        )
-        flags.extend(resonance_monitor(h, cfg.monitor_ratio))
+        phi, h = torus_correction(qpmap, phi, C, C_inv_shift, B, y_grid)
+        flags.extend(resonance_monitor(h))
 
         flat = phi.values.reshape(mesh.M, n)
         images, jacs = qpmap.images_and_jacobian(flat, thetas)
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
 
-        C, B = floquet_correction(qpmap, jacs_grid, C, C_inv_shift, B, cfg.divisor_warn)
+        C, B = floquet_correction(qpmap, jacs_grid, C, C_inv_shift, B)
         C_inv = C.inv()
         C_inv_shift = C_inv.shift(rho)
 
@@ -350,7 +339,7 @@ def run_newton(
         prev_worst = max(prev_y, prev_q)
         if not np.isfinite(worst):
             raise ConvergenceError(f"residual became non-finite: {history}")
-        if cfg.stop_on_stagnation and worst > 0.9 * prev_worst and worst > cfg.tol:
+        if worst > 0.9 * prev_worst and worst > cfg.tol:
             raise ConvergenceError(
                 f"stagnation: residual {prev_worst:.3e} -> {worst:.3e} "
                 f"above threshold {cfg.tol:.1e} after {len(history) - 1} iterations"

@@ -8,7 +8,10 @@ Four checks, all reusable on persisted artifacts:
    series can only pass if it actually interpolates between grid points
    (an aliased solution passes test 1 and fails here);
 4. order: the truncation-order probe log2(eps(sigma)/eps(sigma/2)), which
-   must sit near m+1 for an expansion truncated at order m.
+   must sit near m+1 for an expansion truncated at order m.  The residual
+   is taken on the map the branch was expanded on: P for the unstable
+   branch, and P^{-1} for the stable branch, which is the unstable
+   expansion of the inverse map on the same plain parametrization.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import FourierField
-from .manifold import ManifoldExpansion
+from .manifold import ManifoldExpansion, _direction
 from .torus import _point_norm_max, invariance_residual
 
 DEFAULT_TOL = 1e-10
@@ -93,23 +96,22 @@ def test_shifted(qpmap, phi: FourierField, gamma=None, tol: float = DEFAULT_TOL)
 
 
 def _order_residual(exp: ManifoldExpansion, qpmap, theta: np.ndarray, sigma: float) -> float:
-    """Truncation residual of the invariance equation at one angle.
+    """Truncation residual of the invariance equation across the step from
+    the fibre at angle theta to the fibre at theta + rho.
 
-    Unstable branch: ``P(W(theta, sigma), theta) - W(theta + rho, lambda
-    sigma)``.  Stable branch (stored on the shifted parametrization, built
-    through the inverse map): ``P^{-1}(W(theta + rho, sigma), theta + rho) -
-    W(theta, sigma / lambda)``; the forward form would bury the sigma^{m+1}
-    signal under the contraction by lambda.
+    The residual is ``F(W(s, sigma), s) - W(s + rho_F, lambda_F sigma)`` for
+    the map F the branch was expanded on: P from s = theta for the unstable
+    branch, and P^{-1} from s = theta + rho back to theta for the stable
+    one, where the forward form would bury the sigma^{m+1} signal under the
+    contraction by lambda.
     """
-    theta = np.asarray(theta, dtype=float)
-    rho = np.asarray(exp.rho, dtype=float)
-    x = exp.evaluate(theta, sigma)
-    if exp.branch == "unstable":
-        img = qpmap.images(x[None], theta[None])[0]
-        target = exp.evaluate((theta + rho) % 1.0, exp.lam * sigma)
-    else:
-        img = qpmap.images(x[None], ((theta + rho) % 1.0)[None], inverse=True)[0]
-        target = exp.evaluate((theta - rho) % 1.0, sigma / exp.lam)
+    inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
+    start = np.asarray(theta, dtype=float)
+    if inverse:
+        start = (start - rho_F) % 1.0
+    x = exp.evaluate(start, sigma)
+    img = qpmap.images(x[None], start[None], inverse=inverse)[0]
+    target = exp.evaluate((start + rho_F) % 1.0, lam_F * sigma)
     return float(np.linalg.norm(img - target))
 
 

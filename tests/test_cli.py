@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ class TestManifoldCommand:
         assert cli.main(argv + ["--resume", str(out / "torus")]) == 5
         assert "does not match the configured mesh" in capsys.readouterr().err
 
+    def test_auto_scaling_reexpands(self, run_dir, tmp_path, monkeypatch):
+        # an estimated radius outside [0.1, 10] re-expands with sigma scaled by it
+        out, _ = run_dir
+        config = tmp_path / "auto.ini"
+        config.write_text(CONFIG_D1.replace("scaling = 1.0", "scaling = auto"))
+        monkeypatch.setattr(cli, "estimate_radius", lambda exp: 0.05)
+        argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
+        # 0 or 1: test 4 of an order-3 expansion reads near its band edge
+        assert cli.main(argv + ["--resume", str(out / "torus")]) in (0, 1)
+        report = json.loads((tmp_path / "manifold_report.json").read_text())
+        for branch in ("unstable", "stable"):
+            entry = report["branches"][branch]
+            assert entry["scaling"] == 0.05
+            assert entry["estimated_radius"] == 0.05
+            assert max(entry["order_errors"]) <= 1e-10
+
 
 class TestVerifyCommand:
     def test_fresh_artifacts_pass(self, run_dir):
@@ -155,8 +172,6 @@ class TestVerifyCommand:
     def test_corrupted_artifact_fails(self, run_dir, tmp_path):
         out, config = run_dir
         # copy the artifact, then bump one Fourier mode of phi by 1e-6
-        import shutil
-
         for suffix in (".phi.bin", ".C.bin", ".json"):
             shutil.copy(out / f"torus{suffix}", tmp_path / f"torus{suffix}")
         phi = FourierField.load(tmp_path / "torus.phi.bin")
@@ -167,6 +182,16 @@ class TestVerifyCommand:
             ["verify", "--config", str(config), "--out", str(tmp_path), str(tmp_path / "torus")]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("name", ["torus", "manifold_stable"])
+    def test_other_frequencies_refused(self, run_dir, tmp_path, capsys, name):
+        # an artifact of another rotation is refused, not failed as inaccurate
+        out, _ = run_dir
+        config = tmp_path / "other.ini"
+        config.write_text(CONFIG_D1.replace("eps = 0.01", "eps = 0.01\nomega = 1.0 1.7"))
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(out / name)]
+        assert cli.main(argv) == 5
+        assert "does not match the configured map" in capsys.readouterr().err
 
     def test_unknown_artifact_prefix(self, run_dir, tmp_path):
         out, config = run_dir
@@ -208,6 +233,31 @@ class TestSliceCommand:
         rc = cli.main(["slice", str(out / "manifold_unstable"), "--output", str(dest)])
         assert rc == 0
         assert dest.read_text().startswith("theta1,sigma,w0,w1")
+
+
+class TestManifoldFormat:
+    @pytest.fixture
+    def old_artifact(self, run_dir, tmp_path):
+        """The stable manifold artifact with its JSON stripped of the format version."""
+        out, _ = run_dir
+        for k in range(4):
+            shutil.copy(out / f"manifold_stable.a{k}.bin", tmp_path / f"manifold_stable.a{k}.bin")
+        meta = json.loads((out / "manifold_stable.json").read_text())
+        del meta["format"]
+        (tmp_path / "manifold_stable.json").write_text(json.dumps(meta))
+        return tmp_path / "manifold_stable"
+
+    def test_verify_refuses(self, run_dir, old_artifact, tmp_path, capsys):
+        _, config = run_dir
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(old_artifact)]
+        assert cli.main(argv) == 5
+        assert "has format None" in capsys.readouterr().err
+
+    def test_slice_refuses(self, old_artifact, tmp_path, capsys):
+        argv = ["slice", str(old_artifact), "--output", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 5
+        assert "has format None" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestDeterminism:

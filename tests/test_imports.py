@@ -1,7 +1,10 @@
-"""Dead-import guard: every module-level import of the package is used.
+"""Dead-code guards: every module-level import of the package is used, and
+every private module-level function, class or constant is read in its own
+module.
 
-No linter ships with the project, so this stdlib ``ast`` check stands in for
-one.  ``__init__.py`` is exempt: its imports are the public re-exports.
+No linter ships with the project, so these stdlib ``ast`` checks stand in
+for one.  ``__init__.py`` is exempt from the import check: its imports are
+the public re-exports.
 """
 
 import ast
@@ -26,12 +29,32 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name defined at module level -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [
+                t.id
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(t, ast.Name)
+            ]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     """Every name read in the module, including quoted annotations."""
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
@@ -56,3 +79,15 @@ def test_module_imports_are_used(path):
         if name not in used
     )
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_are_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unread = sorted(
+        f"{path.name}:{line} {name}"
+        for name, line in _private_names(tree).items()
+        if name not in used
+    )
+    assert not unread, f"private names never read in their module: {', '.join(unread)}"

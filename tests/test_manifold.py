@@ -73,19 +73,15 @@ class TestCohoManifold:
 
 
 class TestExpansions:
-    def test_unstable_seed_orders(self, d1_torus, d1_manifolds):
+    @pytest.mark.parametrize("index", [0, 1], ids=["unstable", "stable"])
+    def test_seed_orders(self, d1_torus, d1_manifolds, index):
+        # both branches sit on the plain grid: a_0 is the torus, a_1 = C v
         _, _, sol = d1_torus
-        exp, _ = d1_manifolds
+        exp = d1_manifolds[index]
         assert exp.order == 6
-        assert np.abs(exp.coeffs[0].values - sol.phi.values).max() == 0.0
+        assert np.array_equal(exp.coeffs[0].values, sol.phi.values)
         a1 = sol.C.matvec(np.broadcast_to(exp.v, sol.mesh.shape + (2,)))
         assert np.abs(exp.coeffs[1].values - a1).max() < 1e-14
-
-    def test_stable_seed_is_shifted_torus(self, d1_torus, d1_manifolds):
-        _, _, sol = d1_torus
-        _, exp = d1_manifolds
-        shifted = sol.phi.shift(sol.rho).values
-        assert np.abs(exp.coeffs[0].values - shifted).max() < 1e-14
 
     def test_per_order_errors_small(self, d1_manifolds):
         for exp in d1_manifolds:
@@ -98,26 +94,19 @@ class TestExpansions:
         for exp in d1_manifolds:
             assert exp.order_errors[1] <= 1e-10
 
-    def test_unstable_invariance_pointwise(self, d1_torus, d1_manifolds):
+    @pytest.mark.parametrize(
+        "index, sigma",
+        # the unstable target is evaluated at lambda*sigma ~ 2.8e-3
+        [(0, 1e-5), (1, 1e-3)],
+        ids=["unstable", "stable"],
+    )
+    def test_invariance_pointwise(self, d1_torus, d1_manifolds, index, sigma):
+        # P(W(theta, sigma), theta) = W(theta + rho, lambda sigma) for either branch
         P, qpmap, sol = d1_torus
-        exp, _ = d1_manifolds
+        exp = d1_manifolds[index]
         theta = np.array([0.3])
-        sigma = 1e-5  # the target is evaluated at lambda*sigma ~ 2.8e-3
         x = exp.evaluate(theta, sigma)
         img = qpmap.images(x[None], theta[None])[0]
-        target = exp.evaluate((theta + sol.rho) % 1.0, exp.lam * sigma)
-        assert np.linalg.norm(img - target) < 1e-10
-
-    def test_stable_invariance_pointwise(self, d1_torus, d1_manifolds):
-        # coefficients live on the shifted parametrization: the stored
-        # W(theta, .) is the manifold at angle theta + rho, and the forward
-        # map contracts sigma by lambda_s
-        P, qpmap, sol = d1_torus
-        _, exp = d1_manifolds
-        theta = np.array([0.3])
-        sigma = 1e-3
-        x = exp.evaluate(theta, sigma)
-        img = qpmap.images(x[None], ((theta + sol.rho) % 1.0)[None])[0]
         target = exp.evaluate((theta + sol.rho) % 1.0, exp.lam * sigma)
         assert np.linalg.norm(img - target) < 1e-10
 

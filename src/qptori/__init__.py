@@ -21,7 +21,7 @@ from .fourier import FourierField, FourierMatrix, MeshSpec
 from .jets import JetSpec
 from .manifold import ManifoldExpansion, stable_expansion, unstable_expansion
 from .models import PendulumParams, pendulum_field
-from .multishoot import LiftedMap, MultiTorus, lifted_seed
+from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "PendulumParams",
     "pendulum_field",
     "LiftedMap",
-    "MultiTorus",
     "lifted_seed",
     "NewtonConfig",
     "TorusSolution",

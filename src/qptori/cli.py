@@ -75,10 +75,37 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """Parse and check a config file; any fault is an ``ArtifactError``."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ArtifactError(f"cannot read config file {path}")
+        try:
+            if not parser.read(path):
+                raise ArtifactError(f"cannot read config file {path}")
+            cfg = cls._from_parser(parser)
+            cfg._check()
+        except (configparser.Error, ValueError) as exc:
+            detail = " ".join(str(exc).split())  # configparser's messages span lines
+            raise ArtifactError(f"bad config file {path}: {detail}") from exc
+        return cfg
+
+    def _check(self) -> None:
+        """Refuse values that a run would otherwise trip over only after computing."""
+        if self.manifold_order < 1:
+            raise ValueError("order must be at least 1")
+        if min(self.newton_tol, self.integrator_tol) <= 0.0:
+            raise ValueError("tolerances must be positive")
+        for branch in self.branches:
+            if branch not in ("unstable", "stable"):
+                raise ValueError(f"unknown branch {branch!r} (use unstable and/or stable)")
+        if self.scaling != "auto":
+            try:
+                ok = 0.0 < float(self.scaling) < np.inf
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"scaling must be auto or a positive number, got {self.scaling!r}")
+
+    @classmethod
+    def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
         cfg = cls()
         if parser.has_section("model"):
             sec = parser["model"]
@@ -115,14 +142,19 @@ class RunConfig:
 
 
 def _build_map(cfg: RunConfig):
-    field = models.get(cfg.model, cfg.model_params)
-    mesh = MeshSpec(cfg.mesh)
+    try:
+        field = models.get(cfg.model, cfg.model_params)
+        mesh = MeshSpec(cfg.mesh)
+        # sections = 1 is the r = 1 lift, the plain return map
+        lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
+    except KeyError as exc:  # unknown model name
+        raise ArtifactError(f"bad config: {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ArtifactError(f"bad config: {exc}") from exc
     if mesh.d != field.d:
         raise ArtifactError(
             f"mesh has {mesh.d} angles but the model forces {field.d}"
         )
-    # sections = 1 is the r = 1 lift, the plain return map
-    lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
     return mesh, lift
 
 
@@ -262,7 +294,9 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
             log(f"  {t}")
         name = str(out / f"manifold_{branch}")
         exp.save(name)
-        _slice_manifold_csv(exp, out / f"manifold_{branch}_slice.csv")
+        _slice_manifold_csv(
+            exp, out / f"manifold_{branch}_slice.csv", _slice_thetas(exp.mesh, 1, count=33), 1
+        )
         orders_ok = all(e <= cfg.test_tol for e in exp.order_errors)
         ok = ok and orders_ok and all(t.passed for t in tests)
         report["branches"][branch] = {
@@ -285,17 +319,39 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
     return 0 if ok else 1
 
 
-def _slice_manifold_csv(exp: ManifoldExpansion, path: Path, axis: int = 0, count: int = 33):
-    thetas = np.zeros((count, exp.mesh.d))
-    thetas[:, axis] = np.linspace(0.0, 1.0, count, endpoint=False)
+def _slice_thetas(mesh: MeshSpec, axis: int, fixed=(), count: int | None = None) -> np.ndarray:
+    """The line of angles a slice tabulates: angle ``axis`` (1-based) sweeps
+    [0, 1) in ``count`` steps (default: its mesh size), and the other angles
+    sit at ``fixed`` (default: 0)."""
+    d = mesh.d
+    if not 1 <= axis <= d:
+        raise ArtifactError(f"--axis {axis} is outside 1..{d} for this artifact")
+    if fixed and len(fixed) != d - 1:
+        raise ArtifactError(f"--fixed needs {d - 1} values for this artifact, got {len(fixed)}")
+    if count is not None and count < 1:
+        raise ArtifactError(f"--count must be positive, got {count}")
+    count = count or mesh.shape[axis - 1]
+    thetas = np.zeros((count, d))
+    thetas[:, [j for j in range(d) if j != axis - 1]] = fixed or 0.0
+    thetas[:, axis - 1] = np.linspace(0.0, 1.0, count, endpoint=False)
+    return thetas
+
+
+def _slice_torus_csv(phi: FourierField, path, thetas: np.ndarray, axis: int) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join([f"theta{axis}"] + [f"x{i}" for i in range(phi.n)]) + "\n")
+        for th, v in zip(thetas[:, axis - 1], phi.evaluate(thetas)):
+            fh.write(",".join([f"{th:.17e}"] + [f"{c:.17e}" for c in v]) + "\n")
+
+
+def _slice_manifold_csv(exp: ManifoldExpansion, path, thetas: np.ndarray, axis: int) -> None:
     sigmas = np.linspace(-1.0, 1.0, 9)
     with open(path, "w") as fh:
-        cols = [f"theta{axis+1}", "sigma"] + [f"w{i}" for i in range(exp.n)]
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join([f"theta{axis}", "sigma"] + [f"w{i}" for i in range(exp.n)]) + "\n")
         for th in thetas:
             for s in sigmas:
                 w = exp.evaluate(th, s)
-                row = [f"{th[axis]:.17e}", f"{s:.17e}"] + [f"{v:.17e}" for v in w]
+                row = [f"{th[axis - 1]:.17e}", f"{s:.17e}"] + [f"{v:.17e}" for v in w]
                 fh.write(",".join(row) + "\n")
 
 
@@ -328,34 +384,22 @@ def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
 
 def cmd_slice(args) -> int:
     prefix = args.artifact
-    fixed = [float(v) for v in args.fixed.split(",")] if args.fixed else []
+    try:
+        fixed = [float(v) for v in args.fixed.split(",")] if args.fixed else []
+    except ValueError as exc:
+        raise ArtifactError(f"--fixed takes comma-separated numbers: {exc}") from exc
     if Path(f"{prefix}.phi.bin").exists():
         try:
             phi = FourierField.load(f"{prefix}.phi.bin")
         except (OSError, ValueError) as exc:
             raise ArtifactError(f"cannot read torus artifact {prefix}: {exc}") from exc
-        d = phi.mesh.d
-        axis = args.axis - 1
-        count = args.count or phi.mesh.shape[axis]
-        thetas = np.zeros((count, d))
-        others = [j for j in range(d) if j != axis]
-        for j, v in zip(others, fixed):
-            thetas[:, j] = v
-        thetas[:, axis] = np.linspace(0.0, 1.0, count, endpoint=False)
-        vals = phi.evaluate(thetas)
-        with open(args.output, "w") as fh:
-            cols = [f"theta{axis+1}"] + [f"x{i}" for i in range(phi.n)]
-            fh.write(",".join(cols) + "\n")
-            for th, v in zip(thetas[:, axis], vals):
-                fh.write(",".join([f"{th:.17e}"] + [f"{c:.17e}" for c in v]) + "\n")
-        return 0
-    if Path(f"{prefix}.a0.bin").exists():
-        exp = ManifoldExpansion.load(prefix)
-        axis = args.axis - 1
-        count = args.count or exp.mesh.shape[axis]
-        _slice_manifold_csv(exp, Path(args.output), axis=axis, count=count)
-        return 0
-    raise ArtifactError(f"no artifact found at prefix {prefix}")
+        art, write = phi, _slice_torus_csv
+    elif Path(f"{prefix}.a0.bin").exists():
+        art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
+    else:
+        raise ArtifactError(f"no artifact found at prefix {prefix}")
+    write(art, args.output, _slice_thetas(art.mesh, args.axis, fixed, args.count), args.axis)
+    return 0
 
 
 def main(argv=None) -> int:

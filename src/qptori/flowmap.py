@@ -49,6 +49,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERR_EXPONENT = -1.0 / 8.0
+_CHUNK = 8192  # grid points per integration chunk and pool task
 
 
 class QPVectorField:
@@ -184,7 +185,6 @@ class PoincareSpec:
     field: QPVectorField
     tol: float = 1e-14
     r: int = 1
-    chunk: int = 8192
 
     def __post_init__(self):
         if self.r < 1:
@@ -236,7 +236,7 @@ def advance_grid(P: PoincareSpec, x, thetas, frac0: float, frac1: float, spec=je
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     payloads = [
-        (P, x[s], thetas[s], frac0, frac1, spec) for s in chunk_slices(x.shape[0], P.chunk)
+        (P, x[s], thetas[s], frac0, frac1, spec) for s in chunk_slices(x.shape[0], _CHUNK)
     ]
     with profile.phase("map_eval"):
         parts = run_chunks(_advance_chunk, payloads)

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import QptoriError, SpectrumError
+from .errors import ArtifactError, QptoriError, SpectrumError
 from .fourier import FourierField, MeshSpec
 from .torus import TorusSolution, solve_cohomological
 
 _TAIL_WARN = 1e-10
 _TAIL_FATAL = 1e-6
+_RADIUS_ORDERS = 3  # orders the radius estimate takes its root test over
 # version of the manifold JSON; files without one hold the stable
 # coefficients on another convention and are refused
 _FORMAT = 2
@@ -85,8 +86,6 @@ class ManifoldExpansion:
 
     @classmethod
     def load(cls, prefix: str) -> "ManifoldExpansion":
-        from .errors import ArtifactError
-
         try:
             with open(f"{prefix}.json") as fh:
                 meta = json.load(fh)
@@ -99,17 +98,30 @@ class ManifoldExpansion:
                 FourierField.load(f"{prefix}.a{k}.bin")
                 for k in range(int(meta["order"]) + 1)
             ]
-        except (OSError, ValueError, KeyError) as exc:
+            exp = cls(
+                branch=meta["branch"],
+                lam=float(meta["lambda"]),
+                v=np.array(meta["v"], dtype=float),
+                coeffs=coeffs,
+                scaling=float(meta["scaling"]),
+                rho=np.array(meta["rho"], dtype=float),
+                order_errors=list(meta.get("order_errors", [])),
+            )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ArtifactError(f"cannot read manifold artifact {prefix}: {exc}") from exc
-        return cls(
-            branch=meta["branch"],
-            lam=float(meta["lambda"]),
-            v=np.array(meta["v"], dtype=float),
-            coeffs=coeffs,
-            scaling=float(meta["scaling"]),
-            rho=np.array(meta["rho"], dtype=float),
-            order_errors=list(meta.get("order_errors", [])),
-        )
+        if exp.branch not in ("unstable", "stable"):
+            raise ArtifactError(f"manifold artifact {prefix} has unknown branch {exp.branch!r}")
+        if exp.order < 1 or any(a.mesh != exp.mesh or a.n != exp.n for a in coeffs):
+            raise ArtifactError(
+                f"manifold artifact {prefix}: order below 1, or coefficients on "
+                "different meshes or of different sizes"
+            )
+        if exp.v.shape != (exp.n,) or exp.rho.shape != (exp.mesh.d,):
+            raise ArtifactError(
+                f"manifold artifact {prefix}: v of length {exp.v.size} or rho of length "
+                f"{exp.rho.size} does not fit n={exp.n}, d={exp.mesh.d}"
+            )
+        return exp
 
 
 def eigen_pick(B: np.ndarray, branch: str, c: float = 1.0) -> tuple[float, np.ndarray]:
@@ -237,27 +249,11 @@ def stable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> Manif
     return _expand(sol, qpmap, "stable", m, c)
 
 
-def rescale(exp: ManifoldExpansion, c_new: float) -> ManifoldExpansion:
-    """Reparametrize sigma -> c_new * sigma, scaling a_k by c_new^k."""
-    coeffs = [
-        FourierField(a.mesh, a.n, coeffs=(c_new**k) * a.coeffs)
-        for k, a in enumerate(exp.coeffs)
-    ]
-    return ManifoldExpansion(
-        exp.branch,
-        exp.lam,
-        exp.v * c_new,
-        coeffs,
-        exp.scaling * c_new,
-        exp.rho,
-        list(exp.order_errors),
-    )
-
-
-def estimate_radius(exp: ManifoldExpansion, top_orders: int = 3) -> float:
-    """Root-test estimate of the convergence radius, 1 / limsup ||a_k||^(1/k)."""
+def estimate_radius(exp: ManifoldExpansion) -> float:
+    """Root-test estimate of the convergence radius, 1 / limsup ||a_k||^(1/k),
+    over the top ``_RADIUS_ORDERS`` orders from 2 on."""
     m = exp.order
-    ks = range(max(2, m - top_orders + 1), m + 1)
+    ks = range(max(2, m - _RADIUS_ORDERS + 1), m + 1)
     roots = []
     for k in ks:
         norm = float(np.abs(exp.coeffs[k].values).max())

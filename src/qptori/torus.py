@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, ResonanceError
+from .errors import ArtifactError, ConvergenceError, ResonanceError
 from .fourier import FourierField, FourierMatrix, MeshSpec, coeff_index_to_tuple
 
 _EYE = np.eye
@@ -90,25 +90,37 @@ class TorusSolution:
 
     @classmethod
     def load(cls, prefix: str) -> "TorusSolution":
-        from .errors import ArtifactError
-
         try:
             phi = FourierField.load(f"{prefix}.phi.bin")
             cfield = FourierField.load(f"{prefix}.C.bin")
             with open(f"{prefix}.json") as fh:
                 meta = json.load(fh)
-        except (OSError, ValueError) as exc:
+            n = int(meta["n"])
+            B = np.array(meta["B"], dtype=float)
+            rho = np.array(meta["rho"], dtype=float)
+            history = meta.get("history", [])
+            monitor_flags = [tuple(k) for k in meta.get("monitor_flags", [])]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ArtifactError(f"cannot read torus artifact {prefix}: {exc}") from exc
-        n = int(meta["n"])
+        if phi.n != n or cfield.n != n * n or cfield.mesh != phi.mesh:
+            raise ArtifactError(
+                f"torus artifact {prefix}: phi has {phi.n} components and C {cfield.n} "
+                f"on mesh {cfield.mesh.shape}, but n={n} on mesh {phi.mesh.shape}"
+            )
+        if B.shape != (n, n) or rho.shape != (phi.mesh.d,):
+            raise ArtifactError(
+                f"torus artifact {prefix}: B of shape {B.shape} or rho of length {rho.size} "
+                f"does not fit n={n}, d={phi.mesh.d}"
+            )
         C = FourierMatrix.from_field(cfield, n)
         return cls(
             phi=phi,
             C=C,
             C_inv=C.inv(),
-            B=np.array(meta["B"], dtype=float),
-            rho=np.array(meta["rho"], dtype=float),
-            history=meta.get("history", []),
-            monitor_flags=[tuple(k) for k in meta.get("monitor_flags", [])],
+            B=B,
+            rho=rho,
+            history=history,
+            monitor_flags=monitor_flags,
         )
 
 

@@ -25,6 +25,8 @@ from .manifold import ManifoldExpansion, _direction
 from .torus import _point_norm_max, invariance_residual
 
 DEFAULT_TOL = 1e-10
+_ORDER_BAND = 0.5  # test 4 passes when its slope is within this of m + 1
+_ROUND_OFF_FLOOR = 1e-13  # test 4 skips a sigma whose residuals fall below this
 
 
 def default_gamma(d: int) -> np.ndarray:
@@ -120,8 +122,6 @@ def test_order(
     qpmap,
     theta=None,
     sigma1: float = 1e-2,
-    band: float = 0.5,
-    tol_floor: float = 1e-13,
 ) -> TestReport:
     """Test 4: the two-point slope log2(eps(sigma)/eps(sigma/2)) near m+1.
 
@@ -137,7 +137,7 @@ def test_order(
     for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
         e1 = _order_residual(exp, qpmap, theta, sigma)
         e2 = _order_residual(exp, qpmap, theta, sigma / 2.0)
-        if e1 < tol_floor or e2 < tol_floor:
+        if e1 < _ROUND_OFF_FLOOR or e2 < _ROUND_OFF_FLOOR:
             tried.append({"sigma": float(sigma), "ratio": None, "note": "round-off"})
             continue
         ratio = float(np.log2(e1 / e2))
@@ -145,12 +145,12 @@ def test_order(
         if best is None or abs(ratio - expected) < abs(best[1] - expected):
             best = (float(sigma), ratio)
     measured = best[1] if best is not None else float("nan")
-    passed = best is not None and abs(measured - expected) <= band
+    passed = best is not None and abs(measured - expected) <= _ORDER_BAND
     return TestReport(
         4,
         "order",
         measured,
-        band,
+        _ORDER_BAND,
         passed,
         {"expected": expected, "scan": tried, "theta": np.asarray(theta).tolist()},
     )

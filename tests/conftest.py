@@ -10,6 +10,7 @@ from qptori import (
     pendulum_field,
     run_newton,
 )
+from qptori.flowmap import advance_grid, section_map
 
 
 def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
@@ -39,3 +40,43 @@ def d2_torus():
     qpmap = LiftedMap(P)
     sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
     return P, qpmap, sol
+
+
+def off_block_norm(sol, r):
+    """Largest entry of an r-section lifted solution (r >= 2) outside its
+    multiple-shooting structure: C off its diagonal n-blocks, B off its
+    cyclic blocks (j+1, j)."""
+    n = sol.n // r
+    C_mask = np.ones((sol.n, sol.n), dtype=bool)
+    B_mask = np.ones_like(C_mask)
+    for j in range(r):
+        blk = slice(j * n, (j + 1) * n)
+        C_mask[blk, blk] = False
+        B_mask[((j + 1) % r) * n : ((j + 1) % r + 1) * n, blk] = False
+    return max(float(np.abs(sol.C.values[..., C_mask]).max()), float(np.abs(sol.B[B_mask]).max()))
+
+
+def lift_spectral_errors(lifted, single, P, npoints=5):
+    """The two relations that tie an r-section lift to single shooting.
+
+    Returns the largest relative distance of mu^r, for each eigenvalue mu of
+    the lifted Floquet matrix, to the single-shooting spectrum; and the
+    largest distance between the composed section maps and the plain return
+    map at ``npoints`` points of the single-shooting torus.
+    """
+    r = P.r
+    singles = np.linalg.eigvals(single.B)
+    eig_err = max(
+        float(np.abs(singles - mu**r).min() / max(1.0, abs(mu**r)))
+        for mu in np.linalg.eigvals(lifted.B)
+    )
+    rng = np.random.default_rng(7)
+    idx = rng.choice(single.mesh.M, size=min(npoints, single.mesh.M), replace=False)
+    x = single.phi.values.reshape(single.mesh.M, single.n)[idx]
+    thetas = single.mesh.grid()[idx]
+    comp = x
+    for j in range(1, r + 1):
+        comp = section_map(P, j, comp, (thetas + (j - 1) * P.rho_section) % 1.0)
+    direct = advance_grid(P, x, thetas, 0.0, 1.0)
+    comp_err = float(np.sqrt(((comp - direct) ** 2).sum(-1)).max())
+    return eig_err, comp_err

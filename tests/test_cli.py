@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from qptori import cli, parallel
-from qptori.fourier import FourierField
+from qptori.errors import ArtifactError
+from qptori.fourier import FourierField, MeshSpec
+from qptori.manifold import ManifoldExpansion
+from qptori.torus import TorusSolution
 
 CONFIG_D1 = """\
 [model]
@@ -47,6 +50,24 @@ def run_dir(tmp_path_factory):
     return out, config
 
 
+@pytest.fixture(scope="module")
+def d2_artifacts(tmp_path_factory):
+    """Small synthetic d=2 torus and manifold artifacts for the slice checks."""
+    out = tmp_path_factory.mktemp("d2")
+    mesh = MeshSpec((5, 7))
+    rng = np.random.default_rng(3)
+    fields = [
+        FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (2,)))
+        for _ in range(3)
+    ]
+    fields[0].save(out / "torus.phi.bin")
+    exp = ManifoldExpansion(
+        "unstable", 2.0, np.array([1.0, 0.0]), fields, 1.0, np.array([0.3, 0.4])
+    )
+    exp.save(str(out / "manifold_unstable"))
+    return out
+
+
 class TestConfig:
     def test_example_config_parses(self, tmp_path):
         path = tmp_path / "example.ini"
@@ -61,6 +82,45 @@ class TestConfig:
     def test_missing_config_exit_code(self, tmp_path):
         rc = cli.main(["torus", "--config", str(tmp_path / "no.ini"), "--out", str(tmp_path)])
         assert rc == 5  # unreadable artifact / config
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("N = 31", "N = 14"),
+            ("N = 31", "N = abc"),
+            ("d = 1", "d = 5"),
+            ("name = pendulum", "name = duffing"),
+            ("sections = 1", "sections = 0"),
+            ("scaling = 1.0", "scaling = big"),
+            ("order = 3", "order = 0"),
+            ("[model]\n", ""),
+            ("branches = unstable stable", "branches = unstable stabel"),
+            ("[integrator]\ntol = 1e-14", "[integrator]\ntol = 0"),
+        ],
+        ids=[
+            "even-mesh",
+            "mesh-not-a-number",
+            "d-5",
+            "unknown-model",
+            "no-sections",
+            "scaling-not-a-number",
+            "order-0",
+            "no-section-header",
+            "unknown-branch",
+            "integrator-tol-0",
+        ],
+    )
+    def test_bad_config_refused(self, tmp_path, capsys, old, new):
+        # refused before any computation: exit 5 and one error line, no traceback
+        assert old in CONFIG_D1
+        config = tmp_path / "bad.ini"
+        config.write_text(CONFIG_D1.replace(old, new))
+        rc = cli.main(["torus", "--config", str(config), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "torus.json").exists()
 
 
 class TestTorusCommand:
@@ -233,6 +293,112 @@ class TestSliceCommand:
         rc = cli.main(["slice", str(out / "manifold_unstable"), "--output", str(dest)])
         assert rc == 0
         assert dest.read_text().startswith("theta1,sigma,w0,w1")
+
+    def test_manifold_fixed_applies(self, d2_artifacts, tmp_path):
+        prefix = str(d2_artifacts / "manifold_unstable")
+        dest = tmp_path / "mslice.csv"
+        argv = ["slice", prefix, "--axis", "2", "--fixed", "0.37", "--output", str(dest)]
+        assert cli.main(argv) == 0
+        lines = dest.read_text().splitlines()
+        assert lines[0] == "theta2,sigma,w0,w1"
+        assert len(lines) == 1 + 7 * 9  # the swept angle's mesh size, nine sigmas each
+        first = [float(v) for v in lines[1].split(",")]
+        assert first[:2] == [0.0, -1.0]
+        exp = ManifoldExpansion.load(prefix)
+        assert np.array_equal(first[2:], exp.evaluate(np.array([0.37, 0.0]), -1.0))
+
+    @pytest.mark.parametrize("name", ["torus", "manifold_unstable"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--axis", "3"],
+            ["--axis", "0"],
+            ["--fixed", "0.1,0.2,0.3"],
+            ["--fixed", "abc"],
+            ["--count", "-3"],
+        ],
+        ids=["axis-3", "axis-0", "three-fixed", "fixed-not-a-number", "negative-count"],
+    )
+    def test_bad_arguments_refused(self, d2_artifacts, tmp_path, capsys, name, args):
+        dest = tmp_path / "s.csv"
+        argv = ["slice", str(d2_artifacts / name), "--output", str(dest)] + args
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not dest.exists()
+
+
+def _ones_field(mesh, n):
+    return FourierField.from_values(mesh, np.ones(mesh.shape + (n,)))
+
+
+def _n_against_phi(meta, path):
+    # C and B fit n = 1, but phi still holds 2 components
+    meta.update(n=1, B=[[1.0]])
+    _ones_field(FourierField.load(path / "torus.phi.bin").mesh, 1).save(path / "torus.C.bin")
+
+
+class TestCorruptMetadata:
+    """Artifacts whose metadata do not fit their data are refused with exit 5."""
+
+    def _copy(self, run_dir, tmp_path, name, suffixes):
+        out, _ = run_dir
+        for suffix in suffixes:
+            shutil.copy(out / f"{name}{suffix}", tmp_path / f"{name}{suffix}")
+        return json.loads((out / f"{name}.json").read_text())
+
+    def _refused(self, run_dir, tmp_path, capsys, prefix, load):
+        _, config = run_dir
+        with pytest.raises(ArtifactError):
+            load(str(prefix))
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(prefix)]
+        assert cli.main(argv) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda meta, path: meta.pop("n"),
+            lambda meta, path: meta.update(n=3),
+            _n_against_phi,
+            lambda meta, path: meta.update(B=np.eye(3).tolist()),
+            lambda meta, path: meta.update(rho=[0.4, 0.2]),
+        ],
+        ids=["no-n", "n-against-C", "n-against-phi", "B-not-n-by-n", "rho-length"],
+    )
+    def test_torus(self, run_dir, tmp_path, capsys, damage):
+        meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin", ".C.bin"))
+        damage(meta, tmp_path)
+        (tmp_path / "torus.json").write_text(json.dumps(meta))
+        self._refused(run_dir, tmp_path, capsys, tmp_path / "torus", TorusSolution.load)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda meta, path: meta.pop("branch"),
+            lambda meta, path: meta.update(branch="sideways"),
+            lambda meta, path: _ones_field(MeshSpec((15,)), 2).save(path / "manifold_stable.a2.bin"),
+            lambda meta, path: _ones_field(MeshSpec((31,)), 3).save(path / "manifold_stable.a2.bin"),
+            lambda meta, path: meta.update(v=[1.0, 0.0, 0.0]),
+            lambda meta, path: meta.update(rho=[0.4, 0.2]),
+            lambda meta, path: meta.update(order=0),
+        ],
+        ids=[
+            "no-branch",
+            "unknown-branch",
+            "a2-mesh",
+            "a2-size",
+            "v-length",
+            "rho-length",
+            "order-0",
+        ],
+    )
+    def test_manifold(self, run_dir, tmp_path, capsys, damage):
+        name = "manifold_stable"
+        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(4)])
+        damage(meta, tmp_path)
+        (tmp_path / f"{name}.json").write_text(json.dumps(meta))
+        self._refused(run_dir, tmp_path, capsys, tmp_path / name, ManifoldExpansion.load)
 
 
 class TestManifoldFormat:

@@ -1,6 +1,6 @@
-"""Dead-code guards: every module-level import of the package is used, and
-every private module-level function, class or constant is read in its own
-module.
+"""Dead-code and layering guards: every module-level import of the package
+is used, every private module-level function, class or constant is read in
+its own module, and the map layer imports nothing from the algorithm layer.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -91,3 +91,31 @@ def test_private_names_are_read(path):
         if name not in used
     )
     assert not unread, f"private names never read in their module: {', '.join(unread)}"
+
+
+MAP_LAYER = ("errors", "fourier", "jets", "parallel", "flowmap", "models", "multishoot")
+ALGORITHM_LAYER = {"torus", "manifold", "verify", "cli"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Last dotted component of every qptori module imported anywhere in
+    the module, function-local imports included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[-1] for a in node.names if a.name.startswith("qptori")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("qptori"):
+                continue
+            if node.module and node.module != "qptori":
+                found.add(node.module.split(".")[-1])
+            else:  # from . import torus / from qptori import torus
+                found |= {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("name", MAP_LAYER)
+def test_map_layer_does_not_import_algorithms(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    upward = sorted(_imported_modules(tree) & ALGORITHM_LAYER)
+    assert not upward, f"{name}.py imports the algorithm layer: {', '.join(upward)}"

@@ -7,7 +7,6 @@ from qptori.manifold import (
     ManifoldExpansion,
     eigen_pick,
     estimate_radius,
-    rescale,
     stable_expansion,
     unstable_expansion,
 )
@@ -139,26 +138,7 @@ class TestExpansions:
 
 
 class TestRescale:
-    def test_identity(self, d1_manifolds):
-        exp, _ = d1_manifolds
-        same = rescale(exp, 1.0)
-        for a, b in zip(same.coeffs, exp.coeffs):
-            assert np.abs(a.coeffs - b.coeffs).max() == 0.0
-
-    def test_group_action(self, d1_manifolds):
-        exp, _ = d1_manifolds
-        back = rescale(rescale(exp, 2.0), 0.5)
-        for a, b in zip(back.coeffs, exp.coeffs):
-            assert np.abs(a.values - b.values).max() < 1e-13
-
-    def test_reparametrization_preserves_points(self, d1_manifolds):
-        exp, _ = d1_manifolds
-        scaled = rescale(exp, 2.0)
-        theta = np.array([0.7])
-        sigma = 0.02
-        w1 = exp.evaluate(theta, sigma)
-        w2 = scaled.evaluate(theta, sigma / 2.0)
-        assert np.abs(w1 - w2).max() < 1e-12
+    """The radius estimate by which ``scaling = auto`` rescales sigma."""
 
     def test_radius_of_geometric_series(self):
         mesh = MeshSpec((5,))

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from qptori import jets
-from qptori.flowmap import advance_grid
-from qptori.manifold import unstable_expansion
-from qptori.multishoot import (
-    LiftedMap,
-    MultiTorus,
-    lifted_seed,
-    manifold_multishoot,
-    spectral_consistency,
-)
+from qptori.flowmap import advance_grid, section_map
+from qptori.manifold import eigen_pick, unstable_expansion
+from qptori.multishoot import LiftedMap, lifted_seed
 from qptori.torus import NewtonConfig, run_newton
 
-from conftest import pendulum_setup
+from conftest import lift_spectral_errors, off_block_norm, pendulum_setup
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +60,6 @@ class TestLift:
         x = np.tile([np.pi, 0.0], 3) + 0.02 * rng.standard_normal((1, 6))
         theta = rng.random((1, 1))
         out = lift.images(x, theta)
-        from qptori.flowmap import section_map
-
         for j in range(1, 4):
             src = slice((j - 1) * 2, j * 2)
             dst_j = j % 3 + 1
@@ -93,47 +85,31 @@ class TestLiftedNewton:
         assert sol.history[-1]["reducibility"] <= 1e-10
 
     def test_per_section_invariance(self, r2_solution):
-        # each section torus satisfies P_j(phi_j(theta), .) = phi_{j+1}(theta + rho/r)
-        from qptori.flowmap import section_map
-
+        # each section torus, block j of the lifted phi, satisfies
+        # P_j(phi_j(theta), .) = phi_{j+1}(theta + rho/r)
         P, lift, sol = r2_solution
-        multi = MultiTorus.from_lifted(sol, P.r)
-        mesh = sol.mesh
-        thetas = mesh.grid()
+        mesh, n = sol.mesh, P.n
+        values = sol.phi.values.reshape(mesh.M, P.r * n)
+        shifted = sol.phi.shift(lift.rho).values.reshape(mesh.M, P.r * n)
         for j in range(1, P.r + 1):
-            phi_j = multi.phis[j - 1]
-            phi_next = multi.phis[j % P.r]
-            img = section_map(P, j, phi_j.values.reshape(mesh.M, 2), thetas)
-            target = phi_next.shift(lift.rho).values.reshape(mesh.M, 2)
+            nxt = j % P.r
+            img = section_map(P, j, values[:, (j - 1) * n : j * n], mesh.grid())
+            target = shifted[:, nxt * n : (nxt + 1) * n]
             assert np.sqrt(((img - target) ** 2).sum(-1)).max() < 1e-11
 
     def test_block_structure_preserved(self, r2_solution):
         P, lift, sol = r2_solution
-        multi = MultiTorus.from_lifted(sol, P.r)
-        assert multi.off_block_norm() < 1e-9
-
-    def test_section_matrices_assemble_lifted_B(self, r2_solution):
-        P, lift, sol = r2_solution
-        multi = MultiTorus.from_lifted(sol, P.r)
-        n, r = 2, P.r
-        rebuilt = np.zeros((n * r, n * r))
-        for j in range(1, r + 1):
-            blk = slice((j - 1) * n, j * n)
-            dst = slice((j % r) * n, (j % r) * n + n)
-            rebuilt[dst, blk] = multi.Bs[j - 1]
-        off = sol.B - rebuilt
-        assert np.abs(off).max() < 1e-9
+        assert off_block_norm(sol, P.r) < 1e-9
 
 
 class TestSpectralConsistency:
     def test_relations(self, r2_solution, d1_torus):
         P, lift, sol = r2_solution
         _, _, single = d1_torus
-        multi = MultiTorus.from_lifted(sol, P.r)
-        report = spectral_consistency(multi, single, P)
-        assert report["eigenvalue_relation"] < 1e-8
-        assert report["composition"] < 1e-10
-        assert report["block_structure"] < 1e-9
+        eig_err, comp_err = lift_spectral_errors(sol, single, P)
+        assert eig_err < 1e-8
+        assert comp_err < 1e-10
+        assert off_block_norm(sol, P.r) < 1e-9
 
     def test_square_of_block_eigenvalue(self, r2_solution, d1_torus):
         P, lift, sol = r2_solution
@@ -144,32 +120,22 @@ class TestSpectralConsistency:
 
 
 class TestLiftedManifold:
-    def test_r1_matches_single_shooting(self, d1_torus):
-        P, qpmap, sol = d1_torus
-        lift = LiftedMap(P)
-        single = unstable_expansion(sol, qpmap, m=3)
-        sections = manifold_multishoot(sol, lift, "unstable", m=3)
-        assert len(sections) == 1
-        for a, b in zip(sections[0].coeffs, single.coeffs):
-            assert np.abs(a.values - b.values).max() < 1e-11
-
     def test_eigen_block_relation(self, r2_solution):
-        # B_j v_j = mu v_{j+1} for the lifted eigenvector blocks
-        from qptori.manifold import eigen_pick
-
+        # B_j v_j = mu v_{j+1}, with B_j the lifted block (j+1, j) and v_j
+        # block j of the lifted eigenvector
         P, lift, sol = r2_solution
-        multi = MultiTorus.from_lifted(sol, P.r)
         mu, v = eigen_pick(sol.B, "unstable")
-        n, r = 2, P.r
+        n, r = P.n, P.r
         for j in range(1, r + 1):
-            vj = v[(j - 1) * n : j * n]
-            vnext = v[(j % r) * n : (j % r) * n + n]
-            res = multi.Bs[j - 1] @ vj - mu * vnext
+            blk = slice((j - 1) * n, j * n)
+            nxt = slice((j % r) * n, (j % r) * n + n)
+            res = sol.B[nxt, blk] @ v[blk] - mu * v[nxt]
             assert np.linalg.norm(res) < 1e-10 * max(1.0, abs(mu))
 
     def test_per_section_order_errors(self, r2_solution):
+        # the section expansions are the n-blocks of the lifted a_k, so the
+        # lifted order errors bound every section's
         P, lift, sol = r2_solution
-        sections = manifold_multishoot(sol, lift, "unstable", m=3)
-        assert len(sections) == P.r
-        for exp in sections:
-            assert max(exp.order_errors) <= 1e-10
+        exp = unstable_expansion(sol, lift, m=3)
+        assert exp.n == P.r * P.n
+        assert max(exp.order_errors) <= 1e-10

@@ -8,7 +8,11 @@ graded-lexicographic order -- ``[const, sigma, sigma^2, ...]`` for one
 symbol, ``[const, d/ds_1, ..., d/ds_s]`` at order one -- and any leading
 axes are independent jets processed in lockstep.
 
-All operations are pure and deterministic; there is no shared state.
+The module holds what the vector fields and the transport use: linear
+operations are plain numpy arithmetic on the coefficient arrays, the one
+elementary function is ``sin_cos``, and the seeds turn states and manifold
+coefficient tables into jets.  All operations are pure and deterministic;
+there is no shared state.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class SingularJetError(ArithmeticError):
-    """Reciprocal or square root of a jet whose constant term is not usable."""
 
 
 @dataclass(frozen=True)
@@ -52,42 +52,6 @@ def _check(a: np.ndarray, spec: JetSpec) -> np.ndarray:
     return a
 
 
-def constant(value, spec: JetSpec) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
-    out = np.zeros(value.shape + (spec.ncoeff,))
-    out[..., 0] = value
-    return out
-
-
-def variable(value, spec: JetSpec, index: int = 0) -> np.ndarray:
-    """value + sigma_index (requires order >= 1)."""
-    if spec.order < 1:
-        raise ValueError("variable needs order >= 1")
-    out = constant(value, spec)
-    out[..., 1 + index] = 1.0
-    return out
-
-
-def mul(a: np.ndarray, b: np.ndarray, spec: JetSpec) -> np.ndarray:
-    """Product truncated at the jet order."""
-    a = _check(a, spec)
-    b = _check(b, spec)
-    if spec.ncoeff == 1:
-        return a * b
-    if spec.symbols == 1:
-        o = spec.order
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (o + 1,))
-        for k in range(o + 1):
-            for i in range(k + 1):
-                out[..., k] += a[..., i] * b[..., k - i]
-        return out
-    # order one, several symbols: value and gradient
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (spec.ncoeff,))
-    out[..., 0] = a[..., 0] * b[..., 0]
-    out[..., 1:] = a[..., :1] * b[..., 1:] + a[..., 1:] * b[..., :1]
-    return out
-
-
 def _compose_gradient(a: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[..., 0] = f0
@@ -114,63 +78,6 @@ def sin_cos(a: np.ndarray, spec: JetSpec) -> tuple[np.ndarray, np.ndarray]:
         s[..., k] /= k
         c[..., k] /= k
     return s, c
-
-
-def exp(a: np.ndarray, spec: JetSpec) -> np.ndarray:
-    a = _check(a, spec)
-    e0 = np.exp(a[..., 0])
-    if spec.ncoeff == 1:
-        return e0[..., None]
-    if spec.order == 1:
-        return _compose_gradient(a, e0, e0)
-    o = spec.order
-    e = np.zeros(a.shape)
-    e[..., 0] = e0
-    for k in range(1, o + 1):
-        for j in range(1, k + 1):
-            e[..., k] += j * a[..., j] * e[..., k - j]
-        e[..., k] /= k
-    return e
-
-
-def reciprocal(a: np.ndarray, spec: JetSpec) -> np.ndarray:
-    a = _check(a, spec)
-    if np.any(a[..., 0] == 0.0):
-        raise SingularJetError("reciprocal of a jet with zero constant term")
-    r0 = 1.0 / a[..., 0]
-    if spec.ncoeff == 1:
-        return r0[..., None]
-    if spec.order == 1:
-        return _compose_gradient(a, r0, -r0 * r0)
-    o = spec.order
-    r = np.zeros(a.shape)
-    r[..., 0] = r0
-    for k in range(1, o + 1):
-        acc = np.zeros(a.shape[:-1])
-        for j in range(1, k + 1):
-            acc += a[..., j] * r[..., k - j]
-        r[..., k] = -r0 * acc
-    return r
-
-
-def sqrt(a: np.ndarray, spec: JetSpec) -> np.ndarray:
-    a = _check(a, spec)
-    if np.any(a[..., 0] <= 0.0):
-        raise SingularJetError("square root of a jet with nonpositive constant term")
-    q0 = np.sqrt(a[..., 0])
-    if spec.ncoeff == 1:
-        return q0[..., None]
-    if spec.order == 1:
-        return _compose_gradient(a, q0, 0.5 / q0)
-    o = spec.order
-    q = np.zeros(a.shape)
-    q[..., 0] = q0
-    for k in range(1, o + 1):
-        acc = np.array(a[..., k])
-        for j in range(1, k):
-            acc = acc - q[..., j] * q[..., k - j]
-        q[..., k] = acc / (2.0 * q0)
-    return q
 
 
 # -- convenience seeds for transport ------------------------------------

@@ -8,10 +8,15 @@ differentials, solving the Sylvester-type equation
 ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` mode by mode.  Both halves
 contract quadratically while above the round-off floor.
 
-All cohomological systems are solved in complex form: with the stored mode
-``kappa`` and phase ``psi = 2 pi <kappa, rho>``, the torus blocks are
-``(exp(i psi) Id - B)``, which is equivalent to the paired real (cos, sin)
-blocks and solves in one batched call per sweep.
+Both equations are solved in the eigenbasis of the constant matrix,
+``B = V diag(mu) V^{-1}``, with the stored mode ``kappa`` and phase
+``psi = 2 pi <kappa, rho>``: every mode then needs one division per
+component (torus and manifold) or per matrix entry (Floquet), by the
+divisors ``factor exp(i psi) - mu_i`` and ``exp(i psi) mu_j - mu_i``.  Going
+to the eigenbasis and back amplifies round-off by up to cond(V) for a
+vector and cond(V)^2 for a matrix, so the divisor check reads
+``|divisor| / cond(V)`` and ``|divisor| / cond(V)^2``: an ill-conditioned
+(or defective) B warns and is refused like a small divisor.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 from .errors import ArtifactError, ConvergenceError, ResonanceError
 from .fourier import FourierField, FourierMatrix, MeshSpec, coeff_index_to_tuple
 
-_EYE = np.eye
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
 
@@ -65,12 +69,10 @@ class TorusSolution:
         return {
             "rho": list(map(float, self.rho)),
             "B": self.B.tolist(),
-            "eigenvalues": sorted(
-                (complex(v).real if abs(complex(v).imag) < 1e-12 else str(v))
-                for v in self.eigenvalues()
-            )
-            if np.isrealobj(self.B)
-            else self.B.tolist(),
+            "eigenvalues": [
+                float(v.real) if abs(v.imag) < 1e-12 else str(v)
+                for v in sorted(self.eigenvalues(), key=lambda v: (v.real, v.imag))
+            ],
             "history": self.history,
             "monitor_flags": [list(map(int, k)) for k in self.monitor_flags],
         }
@@ -133,20 +135,28 @@ def _mode_phases(mesh: MeshSpec, rho) -> np.ndarray:
     return np.exp(1j * psi)
 
 
-def _check_divisors(divisors: np.ndarray, mesh: MeshSpec, what: str):
-    """Raise on an (almost) exactly singular block, warn on a small divisor."""
-    worst = int(np.argmin(divisors))
-    smallest = float(divisors.flat[worst])
+def _check_divisors(den: np.ndarray, V: np.ndarray, sides: int, mesh: MeshSpec, what: str):
+    """Raise on an (almost) exactly singular mode, warn on a small divisor.
+
+    ``den`` holds the eigenbasis divisors of each stored mode on its trailing
+    axes and ``V`` the eigenvectors of B.  A solve that goes to the
+    eigenbasis and back on ``sides`` sides amplifies round-off by up to
+    cond(V)**sides, so a divisor counts as ``|den| / cond(V)**sides``.
+    """
+    cond = float(np.linalg.cond(V))
+    mins = np.abs(den).reshape(mesh.cshape + (-1,)).min(axis=-1)
+    worst = int(np.argmin(mins))
+    smallest = float(mins.flat[worst]) / cond**sides
     if smallest < 1e-13:
         kappa = coeff_index_to_tuple(worst, mesh)
         raise ResonanceError(
-            f"singular {what} block at kappa={kappa} (divisor {smallest:.3e})",
+            f"singular {what} block at kappa={kappa} (divisor {smallest:.3e}, cond(V) {cond:.3e})",
             kappa=kappa,
         )
     if smallest < _DIVISOR_WARN:
         kappa = coeff_index_to_tuple(worst, mesh)
         warnings.warn(
-            f"small divisor {smallest:.3e} in {what} block at kappa={kappa}",
+            f"small divisor {smallest:.3e} in {what} block at kappa={kappa} (cond(V) {cond:.3e})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -156,48 +166,39 @@ def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0
     """Solve ``factor * u(theta+rho) = B u(theta) + g(theta)`` mode by mode.
 
     ``factor = 1`` is the torus equation; ``factor = lambda**m`` gives the
-    manifold equation of order m.  One small complex solve per stored mode,
-    batched.
+    manifold equation of order m.  In the eigenbasis ``u' = V^{-1} u`` each
+    mode is ``u'_i = (V^{-1} g)_i / (factor exp(i psi) - mu_i)``, and
+    ``u = V u'``.
     """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
+    mu, V = np.linalg.eig(np.asarray(B, dtype=float))
     mesh = g.mesh
-    phases = factor * _mode_phases(mesh, rho)
-
-    mus = np.linalg.eigvals(B)
-    divisors = np.abs(phases.reshape(-1, 1) - mus.reshape(1, -1)).min(axis=1)
-    _check_divisors(divisors, mesh, "cohomological")
-
-    blocks = phases[..., None, None] * _EYE(n) - B
-    u = np.linalg.solve(blocks, g.coeffs[..., None])[..., 0]
-    return FourierField(mesh, n, coeffs=u)
+    den = factor * _mode_phases(mesh, rho)[..., None] - mu
+    _check_divisors(den, V, 1, mesh, "cohomological")
+    u = ((g.coeffs @ np.linalg.inv(V).T) / den) @ V.T
+    return FourierField(mesh, g.n, coeffs=u)
 
 
 def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho) -> FourierMatrix:
     """Solve ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` with Avg(H) = 0.
 
     ``Rt_values`` are grid values of the zero-average right-hand side, shape
-    mesh + (n, n).  Each stored mode gives an n^2 x n^2 system in the
-    row-major vectorization, ``(exp(i psi) (Id kron B^T) - (B kron Id)) vec(H_kappa)
-    = vec(R_kappa)``; the kappa = 0 block is skipped (H has zero average).
+    mesh + (n, n).  In the eigenbasis ``H' = V^{-1} H V`` each entry of a
+    mode is ``H'_ij = (V^{-1} R V)_ij / (exp(i psi) mu_j - mu_i)``, and
+    ``H = V H' V^{-1}``; the kappa = 0 mode is zero (H has zero average).
     """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    as_field = FourierField.from_values(mesh, Rt_values.reshape(mesh.shape + (n * n,)))
-    rhat = as_field.coeffs.reshape(-1, n * n)
-    phases = _mode_phases(mesh, rho).reshape(-1)
-
-    mus = np.linalg.eigvals(B)
-    ratio = phases[1:].reshape(-1, 1, 1) * mus.reshape(1, -1, 1) - mus.reshape(1, 1, -1)
-    divisors = np.abs(ratio).reshape(len(phases) - 1, -1).min(axis=1)
-    _check_divisors(np.concatenate([[np.inf], divisors]), mesh, "Floquet")
-
-    left = np.kron(_EYE(n), B.T)
-    right = np.kron(B, _EYE(n))
-    blocks = phases[1:, None, None] * left - right
-    hvec = np.zeros((len(phases), n * n), dtype=complex)
-    hvec[1:] = np.linalg.solve(blocks, rhat[1:, :, None])[..., 0]
-    hfield = FourierField(mesh, n * n, coeffs=hvec.reshape(mesh.cshape + (n * n,)))
+    mu, V = np.linalg.eig(np.asarray(B, dtype=float))
+    n = mu.size
+    rhat = FourierField.from_values(mesh, Rt_values.reshape(mesh.shape + (n * n,))).coeffs
+    den = _mode_phases(mesh, rho)[..., None, None] * mu - mu[:, None]
+    den[(0,) * mesh.d] = np.inf  # the kappa = 0 mode divides to zero and is not checked
+    _check_divisors(den, V, 2, mesh, "Floquet")
+    V_inv = np.linalg.inv(V)
+    # einsum contracts the stacked n x n products through BLAS; a stacked
+    # matmul over the modes is several times slower at small n
+    similar = "ij,...jk,kl->...il"
+    R_eig = np.einsum(similar, V_inv, rhat.reshape(mesh.cshape + (n, n)), V, optimize=True)
+    hhat = np.einsum(similar, V, R_eig / den, V_inv, optimize=True)
+    hfield = FourierField(mesh, n * n, coeffs=hhat.reshape(mesh.cshape + (n * n,)))
     return FourierMatrix(mesh, hfield.values.reshape(mesh.shape + (n, n)))
 
 
@@ -289,8 +290,7 @@ def floquet_correction(
     B_new = B + avg
     Rt = R - avg
     H = solve_coho_floquet(Rt, mesh, B_new, qpmap.rho)
-    eye = _EYE(C.n)
-    C_new = FourierMatrix(mesh, C.values @ (eye + H.values))
+    C_new = FourierMatrix(mesh, C.values @ (np.eye(C.n) + H.values))
     return C_new, B_new
 
 

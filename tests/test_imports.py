@@ -1,6 +1,7 @@
 """Dead-code and layering guards: every module-level import of the package
 is used, every private module-level function, class or constant is read in
-its own module, and the map layer imports nothing from the algorithm layer.
+its own module, the map layer imports nothing from the algorithm layer, and
+every name the benchmark's tracer wraps still exists.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -8,11 +9,14 @@ the public re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qptori"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qptori"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -119,3 +123,22 @@ def test_map_layer_does_not_import_algorithms(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     upward = sorted(_imported_modules(tree) & ALGORITHM_LAYER)
     assert not upward, f"{name}.py imports the algorithm layer: {', '.join(upward)}"
+
+
+def test_perfbench_targets_resolve():
+    # the tracer reports a vanished name as a missing metric instead of
+    # failing, so a rename would otherwise go unnoticed; nothing is installed
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, owner, attr, _, _ in tracing.TARGETS:
+        modname, _, clsname = owner.partition(":")
+        obj = importlib.import_module(modname)
+        if clsname:  # the tracer wraps only what the class itself defines
+            found = attr in getattr(obj, clsname, object).__dict__
+        else:
+            found = hasattr(obj, attr)
+        if not found:
+            missing.append(f"{name}: {owner}.{attr}")
+    assert not missing, f"tracer targets missing from qptori: {', '.join(missing)}"

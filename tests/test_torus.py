@@ -1,8 +1,11 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from qptori.errors import ConvergenceError, ResonanceError
-from qptori.fourier import FourierField, MeshSpec
+from qptori.fourier import FourierField, FourierMatrix, MeshSpec
 from qptori.multishoot import LiftedMap
 from qptori.torus import (
     NewtonConfig,
@@ -28,6 +31,45 @@ def random_hyperbolic(rng, n):
     while abs(np.linalg.det(T)) < 0.1:
         T = rng.standard_normal((n, n))
     return T @ np.diag(mags * signs) @ np.linalg.inv(T)
+
+
+def scaled_rotation(rng, modulus=1.7, angle=0.9, real=0.4):
+    """A random conjugate of diag(modulus * rotation(angle), real): one
+    complex-conjugate eigenvalue pair off the unit circle, as r >= 3 lifts have."""
+    c, s = np.cos(angle), np.sin(angle)
+    D = np.array([[modulus * c, -modulus * s, 0.0], [modulus * s, modulus * c, 0.0], [0.0, 0.0, real]])
+    T = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    return T @ D @ np.linalg.inv(T)
+
+
+# B = [[2, 1], [0, 2 + delta]]: cond(V) is about 2 / delta, and delta = 0 is
+# defective.  The torus divisors count as |den| / cond(V), the Floquet ones,
+# transformed on both sides, as |den| / cond(V)^2.
+TORUS_CONDITIONING = [
+    pytest.param(0.0, "refused", id="defective"),
+    pytest.param(1e-9, "warns", id="cond-2e9"),
+    pytest.param(1e-6, "quiet", id="cond-2e6"),
+]
+FLOQUET_CONDITIONING = [
+    pytest.param(0.0, "refused", id="defective"),
+    pytest.param(1e-9, "refused", id="cond-2e9"),
+    pytest.param(1e-6, "warns", id="cond-2e6"),
+    pytest.param(1e-2, "quiet", id="cond-2e2"),
+]
+
+
+def solve_with_conditioning(outcome, solve):
+    """Run ``solve`` and check that the eigenbasis conditioning has the expected effect."""
+    if outcome == "refused":
+        with pytest.raises(ResonanceError, match="cond"):
+            solve()
+        return None
+    if outcome == "warns":
+        with pytest.warns(RuntimeWarning, match="small divisor"):
+            return solve()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve()
 
 
 def torus_residual(u, B, rho, g):
@@ -56,10 +98,10 @@ class TestCohoTorus:
 
     def test_random_hyperbolic_residual(self):
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            n = rng.integers(1, 4)
+        Bs = [random_hyperbolic(rng, rng.integers(1, 4)) for _ in range(5)]
+        for B in Bs + [scaled_rotation(rng)]:
+            n = B.shape[0]
             mesh = MeshSpec((11, 9))
-            B = random_hyperbolic(rng, n)
             rho = rng.random(2)
             g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (n,)))
             u = solve_cohomological(g, B, rho)
@@ -79,6 +121,16 @@ class TestCohoTorus:
         with pytest.warns(RuntimeWarning, match="small divisor"):
             solve_cohomological(g, np.array([[1.0 + 1e-10]]), np.array([0.3]))
 
+    @pytest.mark.parametrize("delta, outcome", TORUS_CONDITIONING)
+    def test_eigenbasis_conditioning(self, delta, outcome):
+        mesh = MeshSpec((5,))
+        g = FourierField.from_values(mesh, np.random.default_rng(3).standard_normal((5, 2)))
+        B = np.array([[2.0, 1.0], [0.0, 2.0 + delta]])
+        rho = np.array([0.3])
+        u = solve_with_conditioning(outcome, lambda: solve_cohomological(g, B, rho))
+        if outcome == "quiet":  # round-off grows like cond(V) * eps
+            assert torus_residual(u, B, rho, g) < 1e-8
+
 
 class TestCohoFloquet:
     def test_zero_input(self):
@@ -90,15 +142,16 @@ class TestCohoFloquet:
     def test_block_residual(self):
         rng = np.random.default_rng(1)
         mesh = MeshSpec((11,))
-        B = random_hyperbolic(rng, 2)
         rho = np.array([0.41])
-        R = rng.standard_normal(mesh.shape + (2, 2))
-        R -= R.reshape(-1, 2, 2).mean(axis=0)  # zero average
-        H = solve_coho_floquet(R, mesh, B, rho)
-        lhs = H.shift(rho).values @ B - B @ H.values
-        assert np.abs(lhs - R).max() < 1e-12
-        # Avg(H) = 0 by construction
-        assert np.abs(H.values.reshape(-1, 4).mean(axis=0)).max() < 1e-13
+        for B in (random_hyperbolic(rng, 2), scaled_rotation(rng)):
+            n = B.shape[0]
+            R = rng.standard_normal(mesh.shape + (n, n))
+            R -= R.reshape(-1, n, n).mean(axis=0)  # zero average
+            H = solve_coho_floquet(R, mesh, B, rho)
+            lhs = H.shift(rho).values @ B - B @ H.values
+            assert np.abs(lhs - R).max() < 1e-12
+            # Avg(H) = 0 by construction
+            assert np.abs(H.values.reshape(-1, n * n).mean(axis=0)).max() < 1e-13
 
     def test_eigenvalue_ratio_resonance(self):
         # e^{i psi} mu_l = mu_j at kappa != 0 makes a Floquet block singular;
@@ -110,6 +163,18 @@ class TestCohoFloquet:
         R -= R.reshape(-1, 2, 2).mean(axis=0)
         with pytest.raises(ResonanceError):
             solve_coho_floquet(R, mesh, B, np.array([0.0]))
+
+    @pytest.mark.parametrize("delta, outcome", FLOQUET_CONDITIONING)
+    def test_eigenbasis_conditioning(self, delta, outcome):
+        mesh = MeshSpec((5,))
+        R = np.random.default_rng(4).standard_normal(mesh.shape + (2, 2))
+        R -= R.reshape(-1, 2, 2).mean(axis=0)
+        B = np.array([[2.0, 1.0], [0.0, 2.0 + delta]])
+        rho = np.array([0.3])
+        H = solve_with_conditioning(outcome, lambda: solve_coho_floquet(R, mesh, B, rho))
+        if outcome == "quiet":
+            lhs = H.shift(rho).values @ B - B @ H.values
+            assert np.abs(lhs - R).max() < 1e-9
 
 
 class TestResonanceMonitor:
@@ -205,6 +270,24 @@ class TestNewton:
         qpmap = LiftedMap(P)
         with pytest.raises(ConvergenceError):
             run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig(tol=1e-16, max_iter=12))
+
+
+class TestReport:
+    def test_complex_spectrum(self):
+        # r >= 3 lifts have complex Floquet eigenvalues; the report must stay JSON
+        mesh = MeshSpec((5,))
+        B = scaled_rotation(np.random.default_rng(6))
+        sol = TorusSolution(
+            phi=FourierField.from_values(mesh, np.zeros(mesh.shape + (3,))),
+            C=FourierMatrix.identity(mesh, 3),
+            C_inv=FourierMatrix.identity(mesh, 3),
+            B=B,
+            rho=np.array([0.3]),
+        )
+        eigs = json.loads(json.dumps(sol.report()))["eigenvalues"]
+        assert eigs[0] == pytest.approx(0.4)
+        assert [type(v) for v in eigs] == [float, str, str]
+        assert complex(eigs[1]) == pytest.approx(complex(eigs[2]).conjugate())
 
 
 class TestPersistence:

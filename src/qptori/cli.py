@@ -91,8 +91,12 @@ class RunConfig:
         """Refuse values that a run would otherwise trip over only after computing."""
         if self.manifold_order < 1:
             raise ValueError("order must be at least 1")
-        if min(self.newton_tol, self.integrator_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        NewtonConfig(tol=self.newton_tol, max_iter=self.max_iter)  # refuses its own bad values
+        for name, tol in (("integrator tol", self.integrator_tol), ("test_tol", self.test_tol)):
+            if not 0.0 < tol < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if not self.branches:
+            raise ValueError("branches must name unstable and/or stable")
         for branch in self.branches:
             if branch not in ("unstable", "stable"):
                 raise ValueError(f"unknown branch {branch!r} (use unstable and/or stable)")
@@ -398,7 +402,11 @@ def cmd_slice(args) -> int:
         art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
     else:
         raise ArtifactError(f"no artifact found at prefix {prefix}")
-    write(art, args.output, _slice_thetas(art.mesh, args.axis, fixed, args.count), args.axis)
+    thetas = _slice_thetas(art.mesh, args.axis, fixed, args.count)
+    try:
+        write(art, args.output, thetas, args.axis)
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {args.output}: {exc.strerror}") from exc
     return 0
 
 
@@ -445,7 +453,10 @@ def main(argv=None) -> int:
             threads = 1
         parallel.set_workers(threads)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ArtifactError(f"cannot create output directory {out}: {exc.strerror}") from exc
         if args.command == "torus":
             return cmd_torus(cfg, out, args.resume)
         if args.command == "manifold":

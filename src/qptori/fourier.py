@@ -94,26 +94,6 @@ def _freq_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def coeff_index_to_tuple(ell: int, mesh: MeshSpec) -> tuple[int, ...]:
-    """Flat index into the packed coefficient array -> signed frequency tuple.
-
-    Indices above half the mesh size fold to the negative frequency they
-    alias, so the returned tuple can be used directly in rotation phases.
-    """
-    if not 0 <= ell < mesh.Mbar:
-        raise IndexError(f"coefficient index {ell} out of range for mesh {mesh.shape}")
-    out = []
-    j = ell
-    for i, N in enumerate(reversed(mesh.cshape)):
-        k = j % N
-        full = mesh.shape[mesh.d - 1 - i]
-        if k > full // 2:
-            k -= full
-        out.append(k)
-        j //= N
-    return tuple(reversed(out))
-
-
 def analyze(values: np.ndarray, d: int) -> np.ndarray:
     """Grid values -> packed complex coefficients.
 

@@ -224,7 +224,7 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
     inverse, B_F, rho_F, lam_F = _direction(branch, lam, rho, sol.B)
 
     a = [sol.phi, FourierField.from_values(mesh, sol.C.matvec(np.broadcast_to(v, mesh.shape + (n,))))]
-    C_inv_shift = sol.C_inv.shift(rho_F)
+    C_inv_shift = sol.C.inv().shift(rho_F)
     thetas = mesh.grid()
 
     for k in range(2, m + 1):

@@ -6,7 +6,11 @@ parametrization phi(theta) by solving the cohomological equation
 corrects the change C(theta) and the constant matrix B from the map
 differentials, solving the Sylvester-type equation
 ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` mode by mode.  Both halves
-contract quadratically while above the round-off floor.
+contract quadratically while above the round-off floor.  ``run_newton``
+makes one pass, and one map sweep, per iterate: the sweep's differentials
+finish the previous Floquet half, its images give both residuals, and the
+torus half follows unless they pass.  C^{-1} is derived from C where it is
+needed, never stored.
 
 Both equations are solved in the eigenbasis of the constant matrix,
 ``B = V diag(mu) V^{-1}``, with the stored mode ``kappa`` and phase
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, FourierMatrix, MeshSpec, coeff_index_to_tuple
+from .fourier import FourierField, FourierMatrix, MeshSpec
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -40,15 +44,16 @@ class NewtonConfig:
     max_iter: int = 12
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("residual threshold must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"newton tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 
 
 @dataclass
 class TorusSolution:
     phi: FourierField
     C: FourierMatrix
-    C_inv: FourierMatrix
     B: np.ndarray
     rho: np.ndarray
     history: list = dc_field(default_factory=list)
@@ -114,11 +119,9 @@ class TorusSolution:
                 f"torus artifact {prefix}: B of shape {B.shape} or rho of length {rho.size} "
                 f"does not fit n={n}, d={phi.mesh.d}"
             )
-        C = FourierMatrix.from_field(cfield, n)
         return cls(
             phi=phi,
-            C=C,
-            C_inv=C.inv(),
+            C=FourierMatrix.from_field(cfield, n),
             B=B,
             rho=rho,
             history=history,
@@ -147,19 +150,19 @@ def _check_divisors(den: np.ndarray, V: np.ndarray, sides: int, mesh: MeshSpec, 
     mins = np.abs(den).reshape(mesh.cshape + (-1,)).min(axis=-1)
     worst = int(np.argmin(mins))
     smallest = float(mins.flat[worst]) / cond**sides
+    if smallest >= _DIVISOR_WARN:
+        return
+    kappa = tuple(int(k) for k in mesh.freqs().reshape(-1, mesh.d)[worst])
     if smallest < 1e-13:
-        kappa = coeff_index_to_tuple(worst, mesh)
         raise ResonanceError(
             f"singular {what} block at kappa={kappa} (divisor {smallest:.3e}, cond(V) {cond:.3e})",
             kappa=kappa,
         )
-    if smallest < _DIVISOR_WARN:
-        kappa = coeff_index_to_tuple(worst, mesh)
-        warnings.warn(
-            f"small divisor {smallest:.3e} in {what} block at kappa={kappa} (cond(V) {cond:.3e})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    warnings.warn(
+        f"small divisor {smallest:.3e} in {what} block at kappa={kappa} (cond(V) {cond:.3e})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0) -> FourierField:
@@ -213,8 +216,10 @@ def resonance_monitor(correction: FourierField) -> list[tuple[int, ...]]:
     geometric decay produces an empty report; a resonance shows up as one
     anomalously large mode.
     """
+    mesh = correction.mesh
     norms = correction.mode_norms().reshape(-1)
-    shells = np.abs(correction.mesh.freqs()).max(axis=-1).reshape(-1)
+    kappas = mesh.freqs().reshape(-1, mesh.d)
+    shells = np.abs(kappas).max(axis=-1)
     flagged = []
     for s in range(1, int(shells.max()) + 1):
         prev = norms[shells == s - 1]
@@ -222,7 +227,7 @@ def resonance_monitor(correction: FourierField) -> list[tuple[int, ...]]:
             continue
         cut = _MONITOR_RATIO * float(np.median(prev))
         for idx in np.nonzero((shells == s) & (norms > max(cut, 1e-14)))[0]:
-            flagged.append(coeff_index_to_tuple(int(idx), correction.mesh))
+            flagged.append(tuple(int(k) for k in kappas[idx]))
     return flagged
 
 
@@ -231,33 +236,35 @@ def _point_norm_max(v: np.ndarray) -> float:
     return float(np.sqrt((v * v).sum(axis=-1)).max())
 
 
+def _invariance_error(phi: FourierField, images: np.ndarray, rho) -> np.ndarray:
+    """phi(theta+rho) - P(phi(theta), theta) from the images, shape (M, n)."""
+    return phi.shift(rho).values.reshape(phi.mesh.M, phi.n) - images
+
+
+def _reducibility_error(
+    jacs_grid: np.ndarray, C: FourierMatrix, C_inv_shift: FourierMatrix, B: np.ndarray
+) -> np.ndarray:
+    """C^{-1}(theta+rho) DP C(theta) - B on the mesh, shape mesh + (n, n)."""
+    return C_inv_shift.values @ jacs_grid @ C.values - B
+
+
 def invariance_residual(qpmap, phi: FourierField) -> float:
     """Max-over-mesh Euclidean norm of phi(theta+rho) - P(phi(theta), theta)."""
     mesh = phi.mesh
-    flat = phi.values.reshape(mesh.M, phi.n)
-    images = qpmap.images(flat, mesh.grid())
-    target = phi.shift(qpmap.rho).values.reshape(mesh.M, phi.n)
-    return _point_norm_max(target - images)
-
-
-def reducibility_residual(
-    jacs_grid: np.ndarray, C: FourierMatrix, C_inv_shift: FourierMatrix, B: np.ndarray
-) -> float:
-    """Max-over-mesh Frobenius norm of C^{-1}(theta+rho) DP C(theta) - B."""
-    R = C_inv_shift.values @ jacs_grid @ C.values - B
-    return _point_norm_max(R.reshape(R.shape[:-2] + (-1,)))
+    images = qpmap.images(phi.values.reshape(mesh.M, phi.n), mesh.grid())
+    return _point_norm_max(_invariance_error(phi, images, qpmap.rho))
 
 
 # -- Newton steps ----------------------------------------------------------
 
 
 def torus_correction(
-    qpmap,
     phi: FourierField,
+    y_grid: np.ndarray,
     C: FourierMatrix,
     C_inv_shift: FourierMatrix,
     B: np.ndarray,
-    y_grid: np.ndarray,
+    rho,
 ) -> tuple[FourierField, FourierField]:
     """One torus half-step from the invariance error y = phi(.+rho) - P(phi).
 
@@ -265,31 +272,29 @@ def torus_correction(
     the resonance monitor).
     """
     mesh = phi.mesh
-    g_vals = -C_inv_shift.matvec(y_grid)
-    g = FourierField.from_values(mesh, g_vals)
-    u = solve_cohomological(g, B, qpmap.rho, 1.0)
+    g = FourierField.from_values(mesh, -C_inv_shift.matvec(y_grid))
+    u = solve_cohomological(g, B, rho, 1.0)
     h_vals = C.matvec(u.values)
     h = FourierField.from_values(mesh, h_vals)
     return FourierField.from_values(mesh, phi.values + h_vals), h
 
 
 def floquet_correction(
-    qpmap,
     jacs_grid: np.ndarray,
     C: FourierMatrix,
     C_inv_shift: FourierMatrix,
     B: np.ndarray,
+    rho,
 ) -> tuple[FourierMatrix, np.ndarray]:
     """One Floquet half-step from the map differentials on the mesh.
 
     Returns the corrected change C (Id + H) and matrix B + Avg(R).
     """
     mesh = C.mesh
-    R = C_inv_shift.values @ jacs_grid @ C.values - B
+    R = _reducibility_error(jacs_grid, C, C_inv_shift, B)
     avg = R.reshape(-1, C.n, C.n).mean(axis=0)
     B_new = B + avg
-    Rt = R - avg
-    H = solve_coho_floquet(Rt, mesh, B_new, qpmap.rho)
+    H = solve_coho_floquet(R - avg, mesh, B_new, rho)
     C_new = FourierMatrix(mesh, C.values @ (np.eye(C.n) + H.values))
     return C_new, B_new
 
@@ -303,8 +308,14 @@ def run_newton(
 ) -> TorusSolution:
     """Alternate torus and Floquet corrections until both residuals pass.
 
-    ``qpmap`` provides ``rho``, ``images`` and ``images_and_jacobian`` over
-    batches of mesh points (the return map, or its multiple-shooting lift).
+    ``qpmap`` provides ``rho`` and ``images_and_jacobian`` over batches of
+    mesh points (the return map, or its multiple-shooting lift).  Each pass
+    makes one map sweep at the current phi: its differentials finish the
+    previous pass's Floquet half-step, its images and the updated C and B
+    give both residuals, and, unless those pass or a stop applies, the
+    torus half-step moves phi for the next pass.  ``history`` holds one
+    entry per pass, so ``max_iter`` corrections make at most
+    ``max_iter + 1`` sweeps.
     """
     mesh = phi0.mesh
     n = phi0.n
@@ -312,54 +323,41 @@ def run_newton(
     thetas = mesh.grid()
 
     phi, C, B = phi0, C0, np.array(B0, dtype=float)
-    C_inv = C.inv()
+    C_inv_shift = C.inv().shift(rho)
     history: list[dict] = []
     flags: list[tuple[int, ...]] = []
 
-    flat = phi.values.reshape(mesh.M, n)
-    images, jacs = qpmap.images_and_jacobian(flat, thetas)
-    y = phi.shift(rho).values.reshape(mesh.M, n) - images
-    jacs_grid = jacs.reshape(mesh.shape + (n, n))
-    C_inv_shift = C_inv.shift(rho)
-    res_y = _point_norm_max(y)
-    res_q = reducibility_residual(jacs_grid, C, C_inv_shift, B)
-    history.append({"invariance": res_y, "reducibility": res_q})
-
-    for _ in range(cfg.max_iter):
-        if res_y <= cfg.tol and res_q <= cfg.tol:
-            return TorusSolution(phi, C, C_inv, B, rho, history, flags)
-
-        y_grid = y.reshape(mesh.shape + (n,))
-        phi, h = torus_correction(qpmap, phi, C, C_inv_shift, B, y_grid)
-        flags.extend(resonance_monitor(h))
-
-        flat = phi.values.reshape(mesh.M, n)
-        images, jacs = qpmap.images_and_jacobian(flat, thetas)
+    for it in range(cfg.max_iter + 1):
+        images, jacs = qpmap.images_and_jacobian(phi.values.reshape(mesh.M, n), thetas)
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
+        if it > 0:
+            C, B = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
+            C_inv_shift = C.inv().shift(rho)
 
-        C, B = floquet_correction(qpmap, jacs_grid, C, C_inv_shift, B)
-        C_inv = C.inv()
-        C_inv_shift = C_inv.shift(rho)
-
-        y = phi.shift(rho).values.reshape(mesh.M, n) - images
-        prev_y, prev_q = res_y, res_q
+        y = _invariance_error(phi, images, rho)
         res_y = _point_norm_max(y)
-        res_q = reducibility_residual(jacs_grid, C, C_inv_shift, B)
+        res_q = _point_norm_max(
+            _reducibility_error(jacs_grid, C, C_inv_shift, B).reshape(mesh.shape + (n * n,))
+        )
         history.append({"invariance": res_y, "reducibility": res_q})
+        if res_y <= cfg.tol and res_q <= cfg.tol:
+            return TorusSolution(phi, C, B, rho, history, flags)
 
         worst = max(res_y, res_q)
-        prev_worst = max(prev_y, prev_q)
-        if not np.isfinite(worst):
-            raise ConvergenceError(f"residual became non-finite: {history}")
-        if worst > 0.9 * prev_worst and worst > cfg.tol:
+        if it > 0:
+            if not np.isfinite([res_y, res_q]).all():
+                raise ConvergenceError(f"residual became non-finite: {history}")
+            if worst > 0.9 * prev_worst and worst > cfg.tol:
+                raise ConvergenceError(
+                    f"stagnation: residual {prev_worst:.3e} -> {worst:.3e} "
+                    f"above threshold {cfg.tol:.1e} after {it} iterations"
+                )
+        if it == cfg.max_iter:
             raise ConvergenceError(
-                f"stagnation: residual {prev_worst:.3e} -> {worst:.3e} "
-                f"above threshold {cfg.tol:.1e} after {len(history) - 1} iterations"
+                f"no convergence in {cfg.max_iter} iterations "
+                f"(invariance {res_y:.3e}, reducibility {res_q:.3e})"
             )
+        prev_worst = worst
 
-    if res_y <= cfg.tol and res_q <= cfg.tol:
-        return TorusSolution(phi, C, C_inv, B, rho, history, flags)
-    raise ConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations "
-        f"(invariance {res_y:.3e}, reducibility {res_q:.3e})"
-    )
+        phi, h = torus_correction(phi, y.reshape(mesh.shape + (n,)), C, C_inv_shift, B, rho)
+        flags.extend(resonance_monitor(h))

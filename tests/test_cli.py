@@ -96,6 +96,11 @@ class TestConfig:
             ("[model]\n", ""),
             ("branches = unstable stable", "branches = unstable stabel"),
             ("[integrator]\ntol = 1e-14", "[integrator]\ntol = 0"),
+            ("[integrator]\ntol = 1e-14", "[integrator]\ntol = inf"),
+            ("[newton]\ntol = 1e-10", "[newton]\ntol = nan"),
+            ("test_tol = 1e-10", "test_tol = -1"),
+            ("max_iter = 12", "max_iter = -3"),
+            ("branches = unstable stable", "branches ="),
         ],
         ids=[
             "even-mesh",
@@ -108,6 +113,11 @@ class TestConfig:
             "no-section-header",
             "unknown-branch",
             "integrator-tol-0",
+            "integrator-tol-inf",
+            "newton-tol-nan",
+            "test-tol-negative",
+            "max-iter-negative",
+            "no-branches",
         ],
     )
     def test_bad_config_refused(self, tmp_path, capsys, old, new):
@@ -121,6 +131,16 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "torus.json").exists()
+
+    def test_out_is_a_file_refused(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_D1)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["torus", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTorusCommand:
@@ -326,6 +346,13 @@ class TestSliceCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("name", ["torus", "manifold_unstable"])
+    def test_unwritable_output_refused(self, d2_artifacts, tmp_path, capsys, name):
+        dest = tmp_path / "missing" / "s.csv"
+        assert cli.main(["slice", str(d2_artifacts / name), "--output", str(dest)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _ones_field(mesh, n):

@@ -6,7 +6,6 @@ from qptori.fourier import (
     FourierMatrix,
     MeshSpec,
     analyze,
-    coeff_index_to_tuple,
     synthesize,
 )
 
@@ -59,30 +58,38 @@ class TestGridIndex:
 
 
 class TestCoeffIndex:
+    """Flat index ell of the packed coefficients reads its signed frequency
+    from ``MeshSpec.freqs()`` (the resonance reports rely on this)."""
+
+    @staticmethod
+    def kappa(mesh, ell):
+        return tuple(int(k) for k in mesh.freqs().reshape(-1, mesh.d)[ell])
+
     def test_dc(self):
-        assert coeff_index_to_tuple(0, MeshSpec((5, 5))) == (0, 0)
+        assert self.kappa(MeshSpec((5, 5)), 0) == (0, 0)
 
     def test_fold_negative(self):
         # index 4 on a size-5 axis folds to the signed frequency -1; only the
         # non-final axes store folded indices (the last axis is halved)
         mesh = MeshSpec((5, 5))
         ell = 4 * mesh.cshape[-1]  # tuple (4, 0) in the packed layout
-        assert coeff_index_to_tuple(ell, mesh) == (-1, 0)
+        assert self.kappa(mesh, ell) == (-1, 0)
 
     def test_no_fold(self):
-        assert coeff_index_to_tuple(2, MeshSpec((5,))) == (2,)
+        assert self.kappa(MeshSpec((5,)), 2) == (2,)
         mesh = MeshSpec((5, 5))
-        assert coeff_index_to_tuple(2 * mesh.cshape[-1], mesh) == (2, 0)
+        assert self.kappa(mesh, 2 * mesh.cshape[-1]) == (2, 0)
 
     def test_matches_freqs(self):
+        # cos + 0.5 sin of 2 pi <kappa, theta> puts M (1 - 0.5i) / 2 at the
+        # slot of kappa and the conjugate at -kappa, so a sign slip shows
         mesh = MeshSpec((5, 7))
-        freqs = mesh.freqs().reshape(-1, 2)
-        for ell in range(mesh.Mbar):
-            assert coeff_index_to_tuple(ell, mesh) == tuple(freqs[ell])
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            coeff_index_to_tuple(MeshSpec((5,)).Mbar, MeshSpec((5,)))
+        theta = mesh.grid()
+        for ell in range(1, mesh.Mbar):
+            x = 2 * np.pi * theta @ np.array(self.kappa(mesh, ell))
+            vals = (np.cos(x) + 0.5 * np.sin(x)).reshape(mesh.shape)
+            coeff = analyze(vals, mesh.d).reshape(-1)[ell]
+            assert abs(coeff - mesh.M * (1 - 0.5j) / 2) < 1e-12
 
 
 class TestTransforms:

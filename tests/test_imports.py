@@ -142,3 +142,43 @@ def test_perfbench_targets_resolve():
         if not found:
             missing.append(f"{name}: {owner}.{attr}")
     assert not missing, f"tracer targets missing from qptori: {', '.join(missing)}"
+
+
+def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:
+    """True for an interface stub: an optional docstring, then
+    ``raise NotImplementedError``."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parameters_are_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if not isinstance(fn, ast.Lambda) and _only_raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            node.id
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        unread += [
+            f"{path.name}:{fn.lineno} {name}({p.arg})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    assert not unread, f"parameters never read: {', '.join(unread)}"

@@ -229,7 +229,7 @@ class TestNewton:
 
     def test_change_is_invertible(self, d1_torus):
         _, _, sol = d1_torus
-        prod = sol.C.values @ sol.C_inv.values
+        prod = sol.C.values @ sol.C.inv().values
         assert np.abs(prod - np.eye(2)).max() < 1e-11
 
     def test_exact_seed_returns_immediately(self, d1_torus):
@@ -243,9 +243,9 @@ class TestNewton:
         flat = sol.phi.values.reshape(mesh.M, 2)
         images = qpmap.images(flat, mesh.grid())
         y = sol.phi.shift(sol.rho).values.reshape(mesh.M, 2) - images
-        C_inv_shift = sol.C_inv.shift(sol.rho)
+        C_inv_shift = sol.C.inv().shift(sol.rho)
         _, h = torus_correction(
-            qpmap, sol.phi, sol.C, C_inv_shift, sol.B, y.reshape(mesh.shape + (2,))
+            sol.phi, y.reshape(mesh.shape + (2,)), sol.C, C_inv_shift, sol.B, sol.rho
         )
         assert np.abs(h.values).max() < 1e-10
 
@@ -262,6 +262,48 @@ class TestNewton:
         a = np.sort(np.abs(shifted.eigenvalues()))
         b = np.sort(np.abs(sol.eigenvalues()))
         assert np.abs(a - b).max() / b.max() < 1e-9
+
+    def test_max_iter_0_returns_converged_seed(self, d1_torus):
+        _, qpmap, sol = d1_torus
+        again = run_newton(qpmap, sol.phi, sol.C, sol.B, NewtonConfig(max_iter=0))
+        assert len(again.history) == 1
+        assert again.phi is sol.phi
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
+        """Record one entry per ``LiftedMap.images_and_jacobian`` call."""
+        sweeps = []
+        sweep = LiftedMap.images_and_jacobian
+
+        def counting(self, *args, **kwargs):
+            sweeps.append(1)
+            return sweep(self, *args, **kwargs)
+
+        monkeypatch.setattr(LiftedMap, "images_and_jacobian", counting)
+        return sweeps
+
+    def test_max_iter_0_refuses_unconverged_seed(self, monkeypatch):
+        field, mesh, P = pendulum_setup(1, 15)
+        qpmap = LiftedMap(P)
+        seed = newton_seed(qpmap, mesh)  # its single-point sweep is not counted
+        sweeps = self.count_sweeps(monkeypatch)
+        with pytest.raises(ConvergenceError, match="no convergence in 0 iterations"):
+            run_newton(qpmap, *seed, NewtonConfig(max_iter=0))
+        assert len(sweeps) == 1  # the one pass that measures the seed
+
+    def test_one_sweep_per_history_entry(self, monkeypatch):
+        field, mesh, P = pendulum_setup(1, 31)
+        qpmap = LiftedMap(P)
+        seed = newton_seed(qpmap, mesh)
+        sweeps = self.count_sweeps(monkeypatch)
+        sol = run_newton(qpmap, *seed, NewtonConfig())
+        assert len(sol.history) > 1
+        assert len(sweeps) == len(sol.history)
+
+    @pytest.mark.parametrize("tol, max_iter", [(np.nan, 12), (np.inf, 12), (0.0, 12), (1e-10, -1)])
+    def test_bad_config_refused(self, tol, max_iter):
+        with pytest.raises(ValueError):
+            NewtonConfig(tol=tol, max_iter=max_iter)
 
     def test_stagnation_detected(self):
         # an absurdly tight threshold forces the round-off floor, where the
@@ -280,7 +322,6 @@ class TestReport:
         sol = TorusSolution(
             phi=FourierField.from_values(mesh, np.zeros(mesh.shape + (3,))),
             C=FourierMatrix.identity(mesh, 3),
-            C_inv=FourierMatrix.identity(mesh, 3),
             B=B,
             rho=np.array([0.3]),
         )

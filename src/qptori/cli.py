@@ -309,6 +309,7 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
             "estimated_radius": radius,
             "order_errors": exp.order_errors,
             "orders_pass": orders_ok,
+            "transport_tails": exp.transport_tails,  # JSON keys: the orders as strings
             "tests": [t.as_dict() for t in tests],
         }
     wall = time.perf_counter() - t0

@@ -17,14 +17,18 @@ integrator asks it once per span for the stage function
 ``f = field.span(theta_start, spec)`` and calls ``f(t, x)`` at every stage;
 the default closes over ``rhs``, and a model may override ``span`` to do the
 work that depends only on the angles once per span instead of once per stage.
+Both see the states coefficient-major, (ncoeff, n, batch): ``x[k, i]`` is
+coefficient k of component i at every point of the batch.
 
 The integrator is an adaptive embedded Runge-Kutta pair of order 8 (the
 Dormand-Prince 8(5,3) coefficients shipped with scipy) that works unchanged
 on real states and on jet coefficients: stage combinations are linear, the
 nonlinearity lives in the field evaluation, and the step-size control
-measures every jet coefficient.  Grid sweeps share one step sequence
-per chunk, which makes every map evaluation deterministic and independent of
-the worker count.
+measures every jet coefficient.  ``integrate_span`` takes and returns
+(batch, n, ncoeff) arrays and carries the state, the stages and the stage
+arguments coefficient-major in between, converting once at each end.  Grid
+sweeps share one step sequence per chunk, which makes every map evaluation
+deterministic and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -66,14 +70,16 @@ class QPVectorField:
     omega: np.ndarray
 
     def rhs(self, x: np.ndarray, theta: np.ndarray, spec: jets.JetSpec) -> np.ndarray:
-        """dx/dt for states x (batch, n, ncoeff) at angles theta (batch, d+1) in turns."""
+        """dx/dt for coefficient-major states x (ncoeff, n, batch) at angles
+        theta (batch, d+1) in turns; the result has the shape of x."""
         raise NotImplementedError
 
     def span(self, theta_start: np.ndarray, spec: jets.JetSpec):
         """Stage function f(t, x) of one integration span.
 
         ``theta_start`` (batch, d+1) holds the angles in turns at t = 0 of
-        the span; ``f(t, x)`` is ``rhs`` at the angles reached at time t.
+        the span; ``f(t, x)`` is ``rhs`` at the angles reached at time t,
+        for coefficient-major states x (ncoeff, n, batch).
         """
         omega_turns = self.omega / (2.0 * np.pi)
         return lambda t, x: self.rhs(x, theta_start + omega_turns * t, spec)
@@ -94,7 +100,7 @@ class QPVectorField:
 
     def rhs_point(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Real-arithmetic evaluation for states (batch, n), angles (batch, d+1)."""
-        return self.rhs(x[..., None], theta, jets.REAL)[..., 0]
+        return self.rhs(x.T[None], theta, jets.REAL)[0].T
 
 
 def _point_rms(v: np.ndarray) -> float:
@@ -115,22 +121,23 @@ def integrate_span(
     ``y0`` has shape (batch, n, ncoeff); ``theta_start`` holds all d+1
     angles (turns) at the start of the span.  One shared adaptive step
     sequence is used for the whole batch; the final time is hit exactly by
-    clamping the last step.
+    clamping the last step.  Between entry and exit the state is carried
+    coefficient-major, (ncoeff, n, batch), the layout of the stage function.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if t_span == 0.0:
         return y0.copy()
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).transpose(2, 1, 0).copy()
     direction = 1.0 if t_span > 0 else -1.0
     f = field.span(np.asarray(theta_start, dtype=float), spec)
 
     t = 0.0
     k0 = f(t, y)
     # classical initial-step heuristic on the point part
-    scale = tol + tol * np.abs(y[..., 0])
-    d0 = _point_rms(y[..., 0] / scale)
-    d1 = _point_rms(k0[..., 0] / scale)
+    scale = tol + tol * np.abs(y[0])
+    d0 = _point_rms(y[0] / scale)
+    d1 = _point_rms(k0[0] / scale)
     h = 0.01 * d0 / d1 if d1 > 1e-15 and d0 > 1e-15 else 1e-6
     h = direction * min(h, abs(t_span))
 
@@ -168,7 +175,7 @@ def integrate_span(
             y = y_new
             K[0] = f_new
             if t == t_span:
-                return y
+                return y.transpose(2, 1, 0).copy()
             factor = _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**_ERR_EXPONENT)
             )
@@ -215,7 +222,6 @@ class PoincareSpec:
 
 def _advance_chunk(payload):
     P, x, thetas, frac0, frac1, spec = payload
-    ncoeff = spec.ncoeff
     y0 = x if x.ndim == 3 else x[..., None]
     theta_start = np.empty((x.shape[0], P.d + 1))
     theta_start[:, 0] = frac0

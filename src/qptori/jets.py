@@ -3,10 +3,18 @@
 Two shapes cover everything the algorithms need and are the only ones
 accepted: a single symbol at arbitrary truncation order (manifold orders),
 and several symbols at order one (value plus gradient, for differentials of
-the return map).  Coefficients sit on the *last* axis of a numpy array in
-graded-lexicographic order -- ``[const, sigma, sigma^2, ...]`` for one
-symbol, ``[const, d/ds_1, ..., d/ds_s]`` at order one -- and any leading
-axes are independent jets processed in lockstep.
+the return map).  Coefficients are ordered graded-lexicographically --
+``[const, sigma, sigma^2, ...]`` for one symbol, ``[const, d/ds_1, ...,
+d/ds_s]`` at order one.
+
+Jets live in two layouts.  Inside the integrator they are coefficient-major,
+shape (ncoeff, ...): coefficient k of every state component and batch point
+is one contiguous row, so each jet operation is a few long array operations
+rather than many short ones over 1-10 coefficients per point.  ``sin_cos``
+takes this layout; its order-k recurrence is one contraction over the
+stacked lower orders per coefficient.  The transport interface
+(``flowmap.integrate_span``, the seeds below) keeps the coefficients on the
+*last* axis, (batch, n, ncoeff), and the integrator converts once per span.
 
 The module holds what the vector fields and the transport use: linear
 operations are plain numpy arithmetic on the coefficient arrays, the one
@@ -47,36 +55,42 @@ REAL = JetSpec(symbols=0, order=0)
 
 def _check(a: np.ndarray, spec: JetSpec) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.shape[-1] != spec.ncoeff:
-        raise ValueError(f"coefficient axis {a.shape[-1]} does not match {spec}")
+    if a.shape[0] != spec.ncoeff:
+        raise ValueError(f"coefficient axis {a.shape[0]} does not match {spec}")
     return a
 
 
 def _compose_gradient(a: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    out[..., 0] = f0
-    out[..., 1:] = f1[..., None] * a[..., 1:]
+    out[0] = f0
+    np.multiply(f1, a[1:], out=out[1:])
     return out
 
 
 def sin_cos(a: np.ndarray, spec: JetSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sine and cosine of a jet, computed jointly."""
+    """Sine and cosine of coefficient-major jets (ncoeff, ...), computed jointly.
+
+    The series coefficients follow s' = a' c and c' = -a' s: order k is
+    s_k = sum_{j=1..k} j a_j c_{k-j} / k, likewise c_k, summed in order of
+    increasing j.
+    """
     a = _check(a, spec)
-    s0, c0 = np.sin(a[..., 0]), np.cos(a[..., 0])
+    s0, c0 = np.sin(a[0]), np.cos(a[0])
     if spec.ncoeff == 1:
-        return s0[..., None], c0[..., None]
+        return s0[None], c0[None]
     if spec.order == 1:
         return _compose_gradient(a, s0, c0), _compose_gradient(a, c0, -s0)
     o = spec.order
-    s = np.zeros(a.shape)
-    c = np.zeros(a.shape)
-    s[..., 0], c[..., 0] = s0, c0
+    ja = np.arange(1.0, o + 1.0).reshape((o,) + (1,) * (a.ndim - 1)) * a[1:]
+    s = np.empty_like(a)
+    c = np.empty_like(a)
+    s[0], c[0] = s0, c0
+    # einsum accumulates over j row by row, each row a contiguous pass over
+    # the batch; vecdot along the leading axis makes one short strided dot
+    # per point, slower at batch 8192
     for k in range(1, o + 1):
-        for j in range(1, k + 1):
-            s[..., k] += j * a[..., j] * c[..., k - j]
-            c[..., k] -= j * a[..., j] * s[..., k - j]
-        s[..., k] /= k
-        c[..., k] /= k
+        s[k] = np.einsum("j...,j...->...", ja[:k], c[k - 1 :: -1]) / k
+        c[k] = -np.einsum("j...,j...->...", ja[:k], s[k - 1 :: -1]) / k
     return s, c
 
 

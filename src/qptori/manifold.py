@@ -46,6 +46,9 @@ class ManifoldExpansion:
     scaling: float
     rho: np.ndarray
     order_errors: list = dc_field(default_factory=list)
+    # order k >= 2 -> relative Fourier tail of its transported coefficient;
+    # reported by the expansion run, not stored in the artifact
+    transport_tails: dict = dc_field(default_factory=dict)
 
     @property
     def order(self) -> int:
@@ -158,7 +161,9 @@ def eigen_pick(B: np.ndarray, branch: str, c: float = 1.0) -> tuple[float, np.nd
     return float(lam), v
 
 
-def _check_tail(b: FourierField, k: int) -> None:
+def _check_tail(b: FourierField, k: int) -> float:
+    """The relative Fourier tail of the order-k transport; raise or warn if it
+    is too large for the mesh."""
     scale = max(1.0, float(np.abs(b.values).max()))
     tail = float(b.tail_norms().max()) / scale
     if tail > _TAIL_FATAL:
@@ -173,6 +178,7 @@ def _check_tail(b: FourierField, k: int) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+    return tail
 
 
 def _tables(coeffs) -> np.ndarray:
@@ -226,17 +232,18 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
     a = [sol.phi, FourierField.from_values(mesh, sol.C.matvec(np.broadcast_to(v, mesh.shape + (n,))))]
     C_inv_shift = sol.C.inv().shift(rho_F)
     thetas = mesh.grid()
+    tails = {}
 
     for k in range(2, m + 1):
         out = qpmap.transport_series(_tables(a), thetas, k, inverse=inverse)
         b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
-        _check_tail(b, k)
+        tails[k] = _check_tail(b, k)
         g = FourierField.from_values(mesh, C_inv_shift.matvec(b.values))
         u = solve_cohomological(g, B_F, rho_F, float(lam_F) ** k)
         a.append(FourierField.from_values(mesh, sol.C.matvec(u.values)))
 
     errors = _expansion_errors(qpmap, a, branch, lam, rho)
-    return ManifoldExpansion(branch, lam, v, a, c, rho, errors)
+    return ManifoldExpansion(branch, lam, v, a, c, rho, errors, tails)
 
 
 def unstable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> ManifoldExpansion:

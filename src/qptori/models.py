@@ -82,12 +82,13 @@ class PendulumField(QPVectorField):
         return lambda t, x: self._field(x, zeta(t), spec)
 
     def _field(self, x, zeta, spec):
-        """The field at states x, given the forcing zeta (batch,) at their angles."""
-        sin_x, _ = jets.sin_cos(x[..., 0, :], spec)
+        """The field at coefficient-major states x (ncoeff, 2, batch), given
+        the forcing zeta (batch,) at their angles."""
+        sin_x, _ = jets.sin_cos(x[:, 0], spec)
         out = np.empty_like(x)
-        out[..., 0, :] = x[..., 1, :]
-        out[..., 1, :] = -self.params.alpha * sin_x
-        out[..., 1, 0] += self.params.eps * zeta
+        out[:, 0] = x[:, 1]
+        out[:, 1] = -self.params.alpha * sin_x
+        out[0, 1] += self.params.eps * zeta
         return out
 
 

@@ -214,6 +214,15 @@ class TestManifoldCommand:
             assert max(entry["order_errors"]) <= 1e-10
             assert all(t["passed"] for t in entry["tests"])
 
+    def test_report_transport_tails(self, run_dir):
+        # per branch: order (as a string) -> relative tail of its transport
+        out, _ = run_dir
+        report = json.loads((out / "manifold_report.json").read_text())
+        for branch in ("unstable", "stable"):
+            tails = report["branches"][branch]["transport_tails"]
+            assert list(tails) == ["2", "3"]
+            assert all(isinstance(t, float) and 0.0 <= t < 1e-6 for t in tails.values())
+
     def test_other_mesh_refused(self, run_dir, tmp_path, capsys):
         out, _ = run_dir
         config = tmp_path / "other.ini"

@@ -10,6 +10,9 @@ from qptori.multishoot import LiftedMap
 from conftest import pendulum_setup
 
 
+# the test fields see coefficient-major states x (ncoeff, n, batch)
+
+
 class ZeroField(QPVectorField):
     n = 2
     omega = np.array([1.0, np.sqrt(2.0)])
@@ -26,8 +29,8 @@ class RotationField(QPVectorField):
 
     def rhs(self, x, theta, spec):
         out = np.empty_like(x)
-        out[..., 0, :] = x[..., 1, :]
-        out[..., 1, :] = -x[..., 0, :]
+        out[:, 0] = x[:, 1]
+        out[:, 1] = -x[:, 0]
         return out
 
 

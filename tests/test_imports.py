@@ -1,7 +1,8 @@
 """Dead-code and layering guards: every module-level import of the package
 is used, every private module-level function, class or constant is read in
-its own module, the map layer imports nothing from the algorithm layer, and
-every name the benchmark's tracer wraps still exists.
+its own module, every function parameter and local name is read, the map
+layer imports nothing from the algorithm layer, and every name the
+benchmark's tracer wraps still exists and reads its sizes where they are.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -13,7 +14,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qptori import flowmap, jets
+from qptori.models import pendulum_field
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qptori"
@@ -125,12 +130,18 @@ def test_map_layer_does_not_import_algorithms(name):
     assert not upward, f"{name}.py imports the algorithm layer: {', '.join(upward)}"
 
 
-def test_perfbench_targets_resolve():
-    # the tracer reports a vanished name as a missing metric instead of
-    # failing, so a rename would otherwise go unnoticed; nothing is installed
+def _load_tracing():
+    """The benchmark's tracer module, loaded from its file; nothing is installed."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_targets_resolve():
+    # the tracer reports a vanished name as a missing metric instead of
+    # failing, so a rename would otherwise go unnoticed
+    tracing = _load_tracing()
     missing = []
     for name, owner, attr, _, _ in tracing.TARGETS:
         modname, _, clsname = owner.partition(":")
@@ -142,6 +153,34 @@ def test_perfbench_targets_resolve():
         if not found:
             missing.append(f"{name}: {owner}.{attr}")
     assert not missing, f"tracer targets missing from qptori: {', '.join(missing)}"
+
+
+def test_perfbench_span_size_is_the_batch(monkeypatch):
+    # flowmap.point_steps weights each span's step attempts by the size the
+    # tracer reads from integrate_span's arguments: it must be the batch size,
+    # whatever layout the integrator uses inside
+    tracing = _load_tracing()
+    calls = []
+    integrate_span = flowmap.integrate_span
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return integrate_span(*args, **kwargs)
+
+    monkeypatch.setattr(flowmap, "integrate_span", recording)
+    monkeypatch.setattr(flowmap, "run_chunks", lambda fn, payloads: [fn(p) for p in payloads])
+    P = flowmap.PoincareSpec(pendulum_field(d=1), tol=1e-10)
+    rng = np.random.default_rng(0)
+    x = np.array([np.pi, 0.0]) + 0.01 * rng.standard_normal((5, 2))
+    thetas = rng.random((5, 1))
+    for seeds, spec in (
+        (x, jets.REAL),
+        jets.seed_gradient(x),
+        jets.seed_series(np.stack([x, np.ones_like(x)]), 3),
+    ):
+        flowmap.advance_grid(P, seeds, thetas, 0.0, 0.25, spec)
+    sizes = [tracing._span_info(args, kwargs) for args, kwargs in calls]
+    assert sizes == [("real", 5), ("grad", 5), ("series", 5)]
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:
@@ -182,3 +221,43 @@ def test_parameters_are_read(path):
             if p.arg not in ("self", "cls") and p.arg not in read
         ]
     assert not unread, f"parameters never read: {', '.join(unread)}"
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of a function body outside its nested functions and classes."""
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node) if not isinstance(c, _SCOPES))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_locals_are_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # nested functions may read the enclosing function's locals
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        declared = {
+            name
+            for node in _own_nodes(fn)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        stored = {
+            (node.id, node.lineno)
+            for node in _own_nodes(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        unread += [
+            f"{path.name}:{line} {fn.name}: {name}"
+            for name, line in sorted(stored)
+            if name != "_" and name not in read and name not in declared
+        ]
+    assert not unread, f"local names assigned and never read: {', '.join(unread)}"

@@ -8,13 +8,37 @@ from qptori.jets import JetSpec
 
 
 def product(a, b, spec):
-    """Jet product truncated at the order of ``spec`` (for the checks here)."""
+    """Product of coefficient-major jets truncated at the order of ``spec``
+    (for the checks here)."""
     if spec.order == 1:
-        out = a[..., :1] * b
-        out[..., 1:] += a[..., 1:] * b[..., :1]
+        out = a[:1] * b
+        out[1:] += a[1:] * b[:1]
         return out
-    terms = [sum(a[..., i] * b[..., k - i] for i in range(k + 1)) for k in range(spec.order + 1)]
-    return np.stack(terms, axis=-1)
+    return np.stack([sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(spec.order + 1)])
+
+
+def sin_cos_by_coefficient(a, spec):
+    """The order-k recurrence one coefficient at a time on (..., ncoeff) jets:
+    the reference the coefficient-major contraction must reproduce bitwise."""
+    s0, c0 = np.sin(a[..., 0]), np.cos(a[..., 0])
+    if spec.ncoeff == 1:
+        return s0[..., None], c0[..., None]
+    if spec.order == 1:
+        s, c = np.empty_like(a), np.empty_like(a)
+        s[..., 0], c[..., 0] = s0, c0
+        s[..., 1:] = c0[..., None] * a[..., 1:]
+        c[..., 1:] = -s0[..., None] * a[..., 1:]
+        return s, c
+    s = np.zeros(a.shape)
+    c = np.zeros(a.shape)
+    s[..., 0], c[..., 0] = s0, c0
+    for k in range(1, spec.order + 1):
+        for j in range(1, k + 1):
+            s[..., k] += j * a[..., j] * c[..., k - j]
+            c[..., k] -= j * a[..., j] * s[..., k - j]
+        s[..., k] /= k
+        c[..., k] /= k
+    return s, c
 
 
 class TestJetSpec:
@@ -39,11 +63,34 @@ class TestElementary:
     def test_pythagorean(self):
         rng = np.random.default_rng(2)
         for spec in (JetSpec(1, 6), JetSpec(3, 1)):
-            a = rng.standard_normal((4, spec.ncoeff))
+            a = rng.standard_normal((spec.ncoeff, 4))
             s, c = jets.sin_cos(a, spec)
             one = product(s, s, spec) + product(c, c, spec)
-            one[..., 0] -= 1.0
+            one[0] -= 1.0
             assert np.abs(one).max() < 1e-13
+
+
+class TestLayout:
+    """sin_cos on coefficient-major jets (ncoeff, n, batch), against the
+    per-coefficient loop on the transposed (batch, n, ncoeff) jets."""
+
+    SPECS = [jets.REAL, JetSpec(2, 1), JetSpec(4, 1)] + [JetSpec(1, o) for o in range(1, 10)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @pytest.mark.parametrize("batch", [1, 7, 961])
+    def test_bitwise_per_coefficient_loop(self, spec, batch):
+        rng = np.random.default_rng(spec.ncoeff + batch)
+        ref_in = rng.standard_normal((batch, 2, spec.ncoeff))
+        ref_in *= 10.0 ** rng.integers(-3, 2, ref_in.shape)
+        s, c = jets.sin_cos(np.ascontiguousarray(ref_in.T), spec)
+        ref_s, ref_c = sin_cos_by_coefficient(ref_in, spec)
+        assert s.shape == c.shape == ref_in.T.shape
+        assert np.array_equal(s, ref_s.T)
+        assert np.array_equal(c, ref_c.T)
+
+    def test_coefficient_axis_checked(self):
+        with pytest.raises(ValueError):
+            jets.sin_cos(np.zeros((5, 3)), JetSpec(2, 1))
 
 
 class TestExtraction:

@@ -87,6 +87,13 @@ class TestExpansions:
             assert len(exp.order_errors) == 7
             assert max(exp.order_errors) <= 1e-10
 
+    def test_transport_tails_kept(self, d1_manifolds):
+        # one relative Fourier tail per transported order 2..m; a tail above
+        # the fatal level would have stopped the expansion
+        for exp in d1_manifolds:
+            assert sorted(exp.transport_tails) == list(range(2, 7))
+            assert all(0.0 <= t < 1e-6 for t in exp.transport_tails.values())
+
     def test_linear_order_consistent(self, d1_manifolds):
         # order 1 is exact by construction; the measured residual is the
         # jet-transport noise floor amplified by the multiplier ~276

@@ -69,8 +69,9 @@ class TestField:
         x = rng.standard_normal((5, 2))
         theta = rng.random((5, 3))
         seeds, spec = jets.seed_gradient(x)
-        out = field.rhs(seeds, theta, spec)
-        _, jac = jets.split_gradient(out)
+        out = field.rhs(np.ascontiguousarray(seeds.T), theta, spec)  # (ncoeff, n, batch)
+        assert out.shape == (spec.ncoeff, 2, 5)
+        _, jac = jets.split_gradient(out.T)
         h = 1e-6
         for col in range(2):
             e = np.zeros(2)
@@ -88,7 +89,8 @@ def _seed(kind, x, rng):
 
 
 def _counted_span(field, span):
-    """Install ``span`` as the field's per-span hook; return a stage-call counter."""
+    """Install ``span`` as the field's per-span hook; return a stage-call
+    counter.  Every stage call must pass coefficient-major states."""
     calls = [0]
 
     def counting(theta_start, spec):
@@ -96,7 +98,10 @@ def _counted_span(field, span):
 
         def g(t, x):
             calls[0] += 1
-            return f(t, x)
+            assert x.shape == (spec.ncoeff, field.n, theta_start.shape[0])
+            out = f(t, x)
+            assert out.shape == x.shape
+            return out
 
         return g
 

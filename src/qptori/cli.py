@@ -1,11 +1,14 @@
 """Batch driver: compute a torus, expand its manifolds, verify, export slices.
 
 Runs are described by a plain INI config file (see ``example_config`` below)
-so an experiment is a diff-able text record.  Every command writes a
-machine-readable JSON report plus a human log into the output directory.
-Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
+so an experiment is a diff-able text record.  The file is the only source of
+run settings besides the command line: ``_KEYS`` lists every key it may hold,
+and ``--threads`` overrides ``[run] threads``.  The model is the built-in
+forced pendulum; other fields run through the Python API.  Every command
+writes a machine-readable JSON report plus a human log into the output
+directory.  Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
 3 resonance, 4 unsupported spectrum, 5 unreadable or mismatched artifact,
-6 integration failure.
+config or command line, 6 integration failure.
 """
 
 from __future__ import annotations
@@ -58,6 +61,33 @@ test_tol = 1e-10
 """
 
 
+def _words(cast):
+    return lambda text: tuple(cast(word) for word in text.split())
+
+
+# Every accepted (section, key), as configparser spells it (keys lower-case):
+# the RunConfig field the value sets, or None for a parameter of the
+# pendulum (passed to ``pendulum_field`` under the key's name), and the
+# parser of its text.  Any other section or key is refused.
+_KEYS = {
+    ("model", "name"): ("model", str),
+    ("model", "d"): (None, int),
+    ("model", "alpha"): (None, float),
+    ("model", "eps"): (None, float),
+    ("model", "omega"): (None, _words(float)),
+    ("mesh", "n"): ("mesh", _words(int)),
+    ("newton", "tol"): ("newton_tol", float),
+    ("newton", "max_iter"): ("max_iter", int),
+    ("integrator", "tol"): ("integrator_tol", float),
+    ("manifold", "order"): ("manifold_order", int),
+    ("manifold", "branches"): ("branches", _words(str)),
+    ("manifold", "scaling"): ("scaling", str),
+    ("run", "sections"): ("sections", int),
+    ("run", "threads"): ("threads", int),
+    ("run", "test_tol"): ("test_tol", float),
+}
+
+
 @dataclass
 class RunConfig:
     model: str = "pendulum"
@@ -70,7 +100,7 @@ class RunConfig:
     branches: tuple = ("unstable", "stable")
     scaling: str = "auto"
     sections: int = 1
-    threads: int = 0  # 0 means "not set here"
+    threads: int = 1
     test_tol: float = 1e-10
 
     @classmethod
@@ -89,6 +119,10 @@ class RunConfig:
 
     def _check(self) -> None:
         """Refuse values that a run would otherwise trip over only after computing."""
+        if self.model != "pendulum":
+            raise ValueError(f"unknown model {self.model!r}; the command line runs the pendulum")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.manifold_order < 1:
             raise ValueError("order must be at least 1")
         NewtonConfig(tol=self.newton_tol, max_iter=self.max_iter)  # refuses its own bad values
@@ -110,49 +144,35 @@ class RunConfig:
 
     @classmethod
     def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
+        # configparser copies [DEFAULT] entries into every section
+        if parser.defaults():
+            raise ValueError(f"[DEFAULT] entries are not accepted: {', '.join(parser.defaults())}")
         cfg = cls()
-        if parser.has_section("model"):
-            sec = parser["model"]
-            cfg.model = sec.get("name", cfg.model)
-            params = {}
-            for key in ("d",):
-                if key in sec:
-                    params[key] = sec.getint(key)
-            for key in ("alpha", "eps"):
-                if key in sec:
-                    params[key] = sec.getfloat(key)
-            if "omega" in sec:
-                params["omega"] = tuple(float(w) for w in sec["omega"].split())
-            cfg.model_params = params
-        if parser.has_section("mesh") and "n" in parser["mesh"]:
-            cfg.mesh = tuple(int(N) for N in parser["mesh"]["n"].split())
-        if parser.has_section("newton"):
-            cfg.newton_tol = parser["newton"].getfloat("tol", cfg.newton_tol)
-            cfg.max_iter = parser["newton"].getint("max_iter", cfg.max_iter)
-        if parser.has_section("integrator"):
-            cfg.integrator_tol = parser["integrator"].getfloat("tol", cfg.integrator_tol)
-        if parser.has_section("manifold"):
-            sec = parser["manifold"]
-            cfg.manifold_order = sec.getint("order", cfg.manifold_order)
-            if "branches" in sec:
-                cfg.branches = tuple(sec["branches"].split())
-            cfg.scaling = sec.get("scaling", cfg.scaling)
-        if parser.has_section("run"):
-            sec = parser["run"]
-            cfg.sections = sec.getint("sections", cfg.sections)
-            cfg.threads = sec.getint("threads", cfg.threads)
-            cfg.test_tol = sec.getfloat("test_tol", cfg.test_tol)
+        sections = {section for section, _ in _KEYS}
+        for section in parser.sections():
+            if section not in sections:
+                raise ValueError(f"unknown section [{section}]")
+            for key, text in parser.items(section):
+                if (section, key) not in _KEYS:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                name, parse = _KEYS[section, key]
+                try:
+                    value = parse(text)
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key}: {exc}") from None
+                if name is None:
+                    cfg.model_params[key] = value
+                else:
+                    setattr(cfg, name, value)
         return cfg
 
 
 def _build_map(cfg: RunConfig):
     try:
-        field = models.get(cfg.model, cfg.model_params)
+        field = models.pendulum_field(**cfg.model_params)
         mesh = MeshSpec(cfg.mesh)
         # sections = 1 is the r = 1 lift, the plain return map
         lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
-    except KeyError as exc:  # unknown model name
-        raise ArtifactError(f"bad config: {exc.args[0]}") from exc
     except ValueError as exc:
         raise ArtifactError(f"bad config: {exc}") from exc
     if mesh.d != field.d:
@@ -160,14 +180,6 @@ def _build_map(cfg: RunConfig):
             f"mesh has {mesh.d} angles but the model forces {field.d}"
         )
     return mesh, lift
-
-
-def _builtin_seed(cfg: RunConfig, mesh: MeshSpec, lift: LiftedMap):
-    if cfg.model != "pendulum":
-        raise ArtifactError(
-            f"no builtin seed for model {cfg.model!r}; use --resume with a previous run"
-        )
-    return lifted_seed(lift, mesh, np.array([np.pi, 0.0]))
 
 
 class _Log:
@@ -222,7 +234,7 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
-        phi0, C0, B0 = _builtin_seed(cfg, mesh, lift)
+        phi0, C0, B0 = lifted_seed(lift, mesh, np.array([np.pi, 0.0]))  # the pendulum's saddle
         log("seed: builtin")
     ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.max_iter)
     parallel.profile.reset()
@@ -411,8 +423,17 @@ def cmd_slice(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors exit 5, like every other refused input,
+    through ``main``'s one-line error report (argparse's own exit code, 2,
+    means no convergence here)."""
+
+    def error(self, message):
+        raise ArtifactError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qptori",
         description="Invariant tori, Floquet data, and manifold expansions of "
         "quasi-periodically forced ODEs.",
@@ -421,7 +442,9 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--config", required=True, help="INI run configuration")
-        p.add_argument("--threads", type=int, default=None, help="worker count")
+        p.add_argument(
+            "--threads", type=int, default=None, help="worker count; overrides [run] threads"
+        )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--resume", default=None, help="artifact prefix of a previous run")
 
@@ -437,21 +460,14 @@ def main(argv=None) -> int:
     ps.add_argument("--count", type=int, default=None, help="number of sweep points")
     ps.add_argument("--output", default="slice.csv", help="CSV output path")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "slice":
             return cmd_slice(args)
         cfg = RunConfig.from_file(args.config)
-        import os
-
-        if args.threads is not None and args.threads > 0:
-            threads = args.threads
-        elif os.environ.get(parallel.ENV_THREADS):
-            threads = parallel.default_workers()
-        elif cfg.threads > 0:
-            threads = cfg.threads
-        else:
-            threads = 1
+        threads = cfg.threads if args.threads is None else args.threads
+        if threads < 1:
+            raise ArtifactError(f"--threads must be at least 1, got {threads}")
         parallel.set_workers(threads)
         out = Path(args.out)
         try:
@@ -462,13 +478,10 @@ def main(argv=None) -> int:
             return cmd_torus(cfg, out, args.resume)
         if args.command == "manifold":
             return cmd_manifold(cfg, out, args.resume)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, args.artifacts)
-        parser.error(f"unknown command {args.command}")
+        return cmd_verify(cfg, out, args.artifacts)
     except QptoriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
 
 
 if __name__ == "__main__":

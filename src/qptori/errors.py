@@ -18,10 +18,9 @@ class ResonanceError(QptoriError):
 
     exit_code = 3
 
-    def __init__(self, message, kappa=None, order=None):
+    def __init__(self, message, kappa=None):
         super().__init__(message)
         self.kappa = kappa
-        self.order = order
 
 
 class SpectrumError(QptoriError):

@@ -3,9 +3,8 @@
 The main model is a forced pendulum whose forcing mixes d+1 rationally
 independent frequencies; the number of perturbing angles is configurable so
 the whole pipeline runs at desk scale (d = 1, 2) or at full scale (d = 4).
-
-Additional models can be registered at runtime (``register``), which is the
-extension point for externally supplied coefficient data.
+The command line runs this pendulum; any other ``QPVectorField`` runs through
+the Python API (``PoincareSpec(field, ...)``).
 """
 
 from __future__ import annotations
@@ -97,18 +96,3 @@ def pendulum_field(params: PendulumParams | None = None, **kwargs) -> PendulumFi
         params = PendulumParams(**kwargs)
     return PendulumField(params)
 
-
-_REGISTRY = {"pendulum": lambda params: pendulum_field(**params)}
-
-
-def register(name: str, factory) -> None:
-    """Register a model factory taking a parameter dict -> QPVectorField."""
-    _REGISTRY[name] = factory
-
-
-def get(name: str, params: dict) -> QPVectorField:
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(_REGISTRY)}") from None
-    return factory(params)

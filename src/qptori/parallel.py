@@ -13,25 +13,12 @@ everything runs in-process.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
-ENV_THREADS = "QPTORI_THREADS"
-
 _workers = 1
 _pool: ProcessPoolExecutor | None = None
-
-
-def default_workers() -> int:
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def set_workers(k: int) -> None:

@@ -101,6 +101,11 @@ class TestConfig:
             ("test_tol = 1e-10", "test_tol = -1"),
             ("max_iter = 12", "max_iter = -3"),
             ("branches = unstable stable", "branches ="),
+            ("order = 3", "oder = 3"),
+            ("[run]", "[runn]"),
+            ("[model]", "[DEFAULT]\nalpha = 0.5\n\n[model]"),
+            ("threads = 1", "threads = 0"),
+            ("threads = 1", "threads = -3"),
         ],
         ids=[
             "even-mesh",
@@ -118,6 +123,11 @@ class TestConfig:
             "test-tol-negative",
             "max-iter-negative",
             "no-branches",
+            "misspelled-key",
+            "unknown-section",
+            "default-entry",
+            "threads-0",
+            "threads-negative",
         ],
     )
     def test_bad_config_refused(self, tmp_path, capsys, old, new):
@@ -126,6 +136,28 @@ class TestConfig:
         config = tmp_path / "bad.ini"
         config.write_text(CONFIG_D1.replace(old, new))
         rc = cli.main(["torus", "--config", str(config), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "torus.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--config", "{config}", "--threads", "0"],
+            ["--config", "{config}", "--threads", "-2"],
+            ["--config", "{config}", "--threads", "abc"],
+            [],
+        ],
+        ids=["threads-0", "threads-negative", "threads-not-a-number", "no-config"],
+    )
+    def test_bad_arguments_refused(self, tmp_path, capsys, args):
+        # usage errors exit 5 like a bad config; argparse's own code, 2, means no convergence
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_D1)
+        argv = ["torus", "--out", str(tmp_path)] + [a.format(config=config) for a in args]
+        rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == 5
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -345,8 +377,16 @@ class TestSliceCommand:
             ["--fixed", "0.1,0.2,0.3"],
             ["--fixed", "abc"],
             ["--count", "-3"],
+            ["--axis", "q"],
         ],
-        ids=["axis-3", "axis-0", "three-fixed", "fixed-not-a-number", "negative-count"],
+        ids=[
+            "axis-3",
+            "axis-0",
+            "three-fixed",
+            "fixed-not-a-number",
+            "negative-count",
+            "axis-not-a-number",
+        ],
     )
     def test_bad_arguments_refused(self, d2_artifacts, tmp_path, capsys, name, args):
         dest = tmp_path / "s.csv"

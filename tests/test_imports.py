@@ -1,8 +1,9 @@
 """Dead-code and layering guards: every module-level import of the package
 is used, every private module-level function, class or constant is read in
 its own module, every function parameter and local name is read, the map
-layer imports nothing from the algorithm layer, and every name the
-benchmark's tracer wraps still exists and reads its sizes where they are.
+layer imports nothing from the algorithm layer, no module reads the
+environment, every name the benchmark's tracer wraps still exists and reads
+its sizes where they are, and the benchmark's CLI config still loads.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -13,11 +14,12 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qptori import flowmap, jets
+from qptori import cli, flowmap, jets
 from qptori.models import pendulum_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,18 +132,18 @@ def test_map_layer_does_not_import_algorithms(name):
     assert not upward, f"{name}.py imports the algorithm layer: {', '.join(upward)}"
 
 
-def _load_tracing():
-    """The benchmark's tracer module, loaded from its file; nothing is installed."""
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(name):
+    """A benchmark module, loaded from its file; nothing is installed."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_perfbench_targets_resolve():
     # the tracer reports a vanished name as a missing metric instead of
     # failing, so a rename would otherwise go unnoticed
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     missing = []
     for name, owner, attr, _, _ in tracing.TARGETS:
         modname, _, clsname = owner.partition(":")
@@ -159,7 +161,7 @@ def test_perfbench_span_size_is_the_batch(monkeypatch):
     # flowmap.point_steps weights each span's step attempts by the size the
     # tracer reads from integrate_span's arguments: it must be the batch size,
     # whatever layout the integrator uses inside
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     calls = []
     integrate_span = flowmap.integrate_span
 
@@ -181,6 +183,47 @@ def test_perfbench_span_size_is_the_batch(monkeypatch):
         flowmap.advance_grid(P, seeds, thetas, 0.0, 0.25, spec)
     sizes = [tracing._span_info(args, kwargs) for args, kwargs in calls]
     assert sizes == [("real", 5), ("grad", 5), ("series", 5)]
+
+
+def test_perfbench_desk_config_loads(monkeypatch, tmp_path):
+    # desk_d2 runs the CLI on the config that solve_desk writes: a key the
+    # CLI stops accepting would make every run of that workload exit 5
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    solve = _load_perfbench("solve")
+    loaded = []
+
+    def main(argv):
+        loaded.append(cli.RunConfig.from_file(argv[argv.index("--config") + 1]))
+        return 1  # stop before the torus is computed
+
+    desk = solve.WORKLOADS["desk_d2"]
+    solve.solve_desk(desk, {"cli": SimpleNamespace(main=main)}, tmp_path / "work")
+    (cfg,) = loaded
+    assert cfg.mesh == (desk.N,) * desk.d and cfg.manifold_order == desk.order
+    assert cfg.threads == desk.workers
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_environment_is_not_read(path):
+    # run settings come from the config file and the command line only
+    tree = ast.parse(path.read_text(), filename=str(path))
+    knobs = {"environ", "getenv"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in knobs
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and knobs & {a.name for a in node.names}
+        )
+    ]
+    assert not reads, f"environment reads: {', '.join(reads)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qptori import jets, models
+from qptori import jets
 from qptori.flowmap import QPVectorField, integrate_span
 from qptori.models import PendulumParams, pendulum_field
 
@@ -146,28 +146,3 @@ class TestSpan:
             # each cosine add up to tens of ulp of zeta
             assert (np.abs(zeta(t) - ref) <= 32 * np.spacing(ref)).all()
 
-
-class TestRegistry:
-    def test_get_pendulum(self):
-        field = models.get("pendulum", {"d": 2, "eps": 0.005})
-        assert field.d == 2
-        assert field.params.eps == 0.005
-
-    def test_unknown_model(self):
-        with pytest.raises(KeyError):
-            models.get("nonexistent", {})
-
-    def test_register_custom(self):
-        calls = []
-
-        def factory(params):
-            calls.append(params)
-            return pendulum_field(d=1)
-
-        models.register("custom-test", factory)
-        try:
-            field = models.get("custom-test", {"a": 1})
-            assert field.d == 1
-            assert calls == [{"a": 1}]
-        finally:
-            del models._REGISTRY["custom-test"]

@@ -20,15 +20,21 @@ work that depends only on the angles once per span instead of once per stage.
 Both see the states coefficient-major, (ncoeff, n, batch): ``x[k, i]`` is
 coefficient k of component i at every point of the batch.
 
-The integrator is an adaptive embedded Runge-Kutta pair of order 8 (the
-Dormand-Prince 8(5,3) coefficients shipped with scipy) that works unchanged
-on real states and on jet coefficients: stage combinations are linear, the
-nonlinearity lives in the field evaluation, and the step-size control
-measures every jet coefficient.  ``integrate_span`` takes and returns
-(batch, n, ncoeff) arrays and carries the state, the stages and the stage
-arguments coefficient-major in between, converting once at each end.  Grid
-sweeps share one step sequence per chunk, which makes every map evaluation
-deterministic and independent of the worker count.
+The integrator is an adaptive embedded Runge-Kutta pair of order 8 that
+works unchanged on real states and on jet coefficients: stage combinations
+are linear, the nonlinearity lives in the field evaluation, and the
+step-size control measures every jet coefficient.  ``integrate_span`` takes
+and returns (batch, n, ncoeff) arrays and carries the state, the stages and
+the stage arguments coefficient-major in between, converting once at each
+end.  Grid sweeps share one step sequence per chunk, which makes every map
+evaluation deterministic and independent of the worker count.
+
+The tableau is the Dormand-Prince 8(5,3) pair DOP853 of Hairer, Norsett and
+Wanner (Solving Ordinary Differential Equations I, 2nd ed., Springer 1993).
+Its literals are those of scipy's ``scipy.integrate._ivp.dop853_coefficients``,
+digit for digit, and ``_E3`` is built from ``_B`` by the same three
+subtractions, so every array is bitwise equal to scipy's
+(``tests/test_flowmap.py`` checks this where scipy is installed).
 """
 
 from __future__ import annotations
@@ -36,18 +42,121 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dp8
 
 from . import jets
 from .errors import IntegrationError
 from .parallel import chunk_slices, profile, run_chunks
 
-_N_STAGES = _dp8.N_STAGES  # 12
-_A = _dp8.A[:_N_STAGES, :_N_STAGES]
-_B = _dp8.B
-_C = _dp8.C[:_N_STAGES]
-_E3 = _dp8.E3
-_E5 = _dp8.E5
+# the 12 stages of DOP853 and its two error estimators (module docstring);
+# the dense-output stages and coefficients are left out
+_N_STAGES = 12
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_A = np.zeros((_N_STAGES, _N_STAGES))
+_A[1, [0]] = [5.26001519587677318785587544488e-2]
+_A[2, [0, 1]] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1,
+    -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
+]
+_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2,
+    1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+]
+_A[6, [0, 3, 4, 5]] = [
+    3.7109375e-2,
+    1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2,
+    -1.7578125e-2,
+]
+_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2,
+    1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1,
+    -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+]
+_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1,
+    -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1,
+    2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1,
+    -4.34898841810699588477366255144e1,
+]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1,
+    -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1,
+    2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1,
+    -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1,
+    5.18637242884406370830023853209,
+    1.09143734899672957818500254654,
+    -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1,
+    2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762,
+    -3.0467644718982195003823669022,
+]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449,
+    -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444,
+    -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1,
+    -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258,
+    1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+]
+_B = np.zeros(_N_STAGES)
+_B[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2,
+    4.45031289275240888144113950566,
+    1.89151789931450038304281599044,
+    -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+]
+# the error weights act on the 12 stages and the FSAL stage f(t + h, y_new)
+_E3 = np.zeros(_N_STAGES + 1)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = np.zeros(_N_STAGES + 1)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1,
+    -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290,
+    0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2

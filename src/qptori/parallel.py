@@ -8,23 +8,27 @@ dispatched to a process pool.  Results are therefore bit-identical for any
 number of workers.
 
 The pool is created once (``set_workers``) and reused; with one worker
-everything runs in-process.
+everything runs in-process.  The pool's modules (``multiprocessing`` and
+``concurrent.futures.process``) load on the first ``set_workers(k)`` with
+k > 1, so a one-worker run never imports them.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 _workers = 1
-_pool: ProcessPoolExecutor | None = None
+_pool = None  # a concurrent.futures.ProcessPoolExecutor while _workers > 1
 
 
 def set_workers(k: int) -> None:
-    """Size the worker pool; called once at startup."""
+    """Size the worker pool; called once at startup.  A count below 1
+    raises ValueError and leaves the pool as it was."""
     global _workers, _pool
-    k = max(1, int(k))
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"worker count must be at least 1, got {k}")
     if k == _workers and (k == 1 or _pool is not None):
         return
     if _pool is not None:
@@ -32,6 +36,8 @@ def set_workers(k: int) -> None:
         _pool = None
     _workers = k
     if k > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         _pool = ProcessPoolExecutor(max_workers=k)
 
 

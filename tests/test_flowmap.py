@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qptori import jets
+from qptori import flowmap, jets
 from qptori.errors import IntegrationError
 from qptori.flowmap import QPVectorField, integrate_span, section_map
 from qptori.models import pendulum_field
@@ -95,6 +95,34 @@ class TestIntegrate:
         theta_end = theta + field.omega * field.delta / (2 * np.pi)
         back = integrate_span(field, fwd, theta_end, -field.delta, jets.REAL, 1e-14)
         assert np.abs(back - y0).max() < 1e-11
+
+
+class TestTableau:
+    def test_bitwise_equal_to_scipy(self):
+        # the literals were copied from scipy's DOP853 module; a changed digit
+        # would alter every map evaluation without failing any tolerance
+        dp8 = pytest.importorskip(
+            "scipy.integrate._ivp.dop853_coefficients",
+            reason="scipy is not installed: nothing to compare the DOP853 tableau with",
+        )
+        n = dp8.N_STAGES
+        assert flowmap._N_STAGES == n
+        assert np.array_equal(flowmap._A, dp8.A[:n, :n])
+        assert np.array_equal(flowmap._B, dp8.B)
+        assert np.array_equal(flowmap._C, dp8.C[:n])
+        assert np.array_equal(flowmap._E3, dp8.E3)
+        assert np.array_equal(flowmap._E5, dp8.E5)
+
+    def test_consistency_conditions(self):
+        # explicit scheme, c_i = sum_j a_ij, weights summing to 1 and error
+        # weights to 0 (round-off today: 1.0e-15, 4.4e-16, 3.5e-16, 1.0e-16)
+        A, C = flowmap._A, flowmap._C
+        assert A.shape == (flowmap._N_STAGES, flowmap._N_STAGES)
+        assert not np.triu(A).any()
+        assert np.abs(A.sum(axis=1) - C).max() <= 4e-15
+        assert abs(flowmap._B.sum() - 1.0) <= 4e-15
+        assert abs(flowmap._E3.sum()) <= 4e-15
+        assert abs(flowmap._E5.sum()) <= 4e-15
 
 
 # the return map is the r = 1 lift

@@ -1,5 +1,7 @@
 """Dead-code and layering guards: every module-level import of the package
-is used, every private module-level function, class or constant is read in
+is used, every import names the standard library, the package itself or a
+declared dependency, importing the CLI loads neither scipy nor the process
+pool, every private module-level function, class or constant is read in
 its own module, every function parameter and local name is read, the map
 layer imports nothing from the algorithm layer, no module reads the
 environment, every name the benchmark's tracer wraps still exists and reads
@@ -13,6 +15,10 @@ the public re-exports.
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -90,6 +96,45 @@ def test_module_imports_are_used(path):
         if name not in used
     )
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def _declared_dependencies() -> set[str]:
+    """Import names of the distributions in ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = (re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in project["dependencies"])
+    return {name.lower().replace("-", "_") for name in names}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_declared(path):
+    # function-local imports included: a module that only an optional code
+    # path imports is still a dependency of the package
+    allowed = set(sys.stdlib_module_names) | _declared_dependencies()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:  # not an import, or a relative one: the package itself
+            continue
+        stray += [f"{path.name}:{node.lineno} {root}" for root in roots if root not in allowed]
+    assert not stray, f"imports of undeclared packages: {', '.join(stray)}"
+
+
+def test_cli_import_loads_no_scipy_and_no_pool():
+    # a fresh interpreter: this one has loaded whatever the other tests use
+    code = "import sys, qptori.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    loaded = [
+        m for m in out if m in ("scipy", "concurrent.futures.process") or m.startswith("scipy.")
+    ]
+    assert not loaded, f"import qptori.cli loads {', '.join(loaded)}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

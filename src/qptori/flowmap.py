@@ -6,11 +6,10 @@ omega_0`` of the section angle; intermediate section maps cover a fraction
 ``theta_i(t) = theta_i(0) + omega_i t / (2 pi)`` (angles in turns), so only
 the state is integrated.
 
-Two primitives sweep batches of grid points: ``advance_grid`` flows states
-between two fractions of the return time, and ``section_map`` between
-consecutive shooting sections.  ``multishoot.LiftedMap`` builds the
-grid-sweep map of the torus and manifold algorithms on them, for every
-section count r >= 1 (r = 1 is the plain return map).
+One primitive sweeps batches of grid points: ``section_map`` flows states
+between consecutive shooting sections.  ``multishoot.LiftedMap`` builds the
+grid-sweep map of the torus and manifold algorithms on it, for every section
+count r >= 1 (r = 1 is the plain return map).
 
 A model meets one contract, ``QPVectorField.rhs(x, theta, spec)``.  The
 integrator asks it once per span for the stage function
@@ -202,15 +201,6 @@ class QPVectorField:
         """Return time of the stroboscopic section."""
         return 2.0 * np.pi / self.omega[0]
 
-    @property
-    def rho(self) -> np.ndarray:
-        """Rotation vector in turns, one entry per perturbing angle."""
-        return (self.omega[1:] / self.omega[0]) % 1.0
-
-    def rhs_point(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Real-arithmetic evaluation for states (batch, n), angles (batch, d+1)."""
-        return self.rhs(x.T[None], theta, jets.REAL)[0].T
-
 
 def _point_rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
@@ -233,8 +223,8 @@ def integrate_span(
     clamping the last step.  Between entry and exit the state is carried
     coefficient-major, (ncoeff, n, batch), the layout of the stage function.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if t_span == 0.0:
         return y0.copy()
     y = np.asarray(y0, dtype=float).transpose(2, 1, 0).copy()
@@ -305,6 +295,8 @@ class PoincareSpec:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("section count r must be >= 1")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
     @property
     def n(self) -> int:
@@ -340,14 +332,22 @@ def _advance_chunk(payload):
     return y1 if x.ndim == 3 else y1[..., 0]
 
 
-def advance_grid(P: PoincareSpec, x, thetas, frac0: float, frac1: float, spec=jets.REAL):
-    """Flow a batch of states between two section fractions of the return time.
+def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: bool = False):
+    """Map between consecutive shooting sections (j = 1..r).
 
-    ``x`` is (batch, n) for real states or (batch, n, ncoeff) for jets;
-    ``thetas`` is (batch, d), the perturbing angles at the starting section.
-    The batch is cut into fixed-size chunks (independent of the worker
-    count) and dispatched to the pool.
+    Forward: from section j to section j+1, a span of delta/r starting at
+    section fraction (j-1)/r.  Inverse: the corresponding preimage, where
+    ``thetas`` are the angles on section j+1.  ``x`` is (batch, n) for real
+    states or (batch, n, ncoeff) for jets; ``thetas`` is (batch, d).  The
+    batch is cut into fixed-size chunks (independent of the worker count)
+    and dispatched to the pool.
     """
+    if not 1 <= j <= P.r:
+        raise ValueError(f"section index {j} outside 1..{P.r}")
+    frac0 = (j - 1) / P.r
+    frac1 = j / P.r
+    if inverse:
+        frac0, frac1 = frac1, frac0
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     payloads = [
@@ -356,19 +356,3 @@ def advance_grid(P: PoincareSpec, x, thetas, frac0: float, frac1: float, spec=je
     with profile.phase("map_eval"):
         parts = run_chunks(_advance_chunk, payloads)
     return np.concatenate(parts, axis=0)
-
-
-def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: bool = False):
-    """Map between consecutive shooting sections (j = 1..r).
-
-    Forward: from section j to section j+1, a span of delta/r starting at
-    section fraction (j-1)/r.  Inverse: the corresponding preimage, where
-    ``thetas`` are the angles on section j+1.
-    """
-    if not 1 <= j <= P.r:
-        raise ValueError(f"section index {j} outside 1..{P.r}")
-    frac0 = (j - 1) / P.r
-    frac1 = j / P.r
-    if inverse:
-        frac0, frac1 = frac1, frac0
-    return advance_grid(P, x, thetas, frac0, frac1, spec)

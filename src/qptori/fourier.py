@@ -59,11 +59,6 @@ class MeshSpec:
         """Shape of the packed complex-coefficient array (last axis halved)."""
         return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
 
-    @property
-    def Mbar(self) -> int:
-        """Number of stored complex coefficients."""
-        return int(np.prod(self.cshape))
-
     def grid(self) -> np.ndarray:
         """All mesh angles, shape (M, d), row-major, in turns."""
         return _grid_angles(self.shape)
@@ -144,17 +139,6 @@ class FourierField:
         values = np.asarray(values, dtype=float)
         return cls(mesh, values.shape[-1], values=values)
 
-    @classmethod
-    def from_coeffs(cls, mesh: MeshSpec, coeffs) -> "FourierField":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return cls(mesh, coeffs.shape[-1], coeffs=coeffs)
-
-    @classmethod
-    def from_function(cls, mesh: MeshSpec, fn, n: int) -> "FourierField":
-        """Sample ``fn(theta) -> R^n`` (theta in turns, shape (..., d)) on the mesh."""
-        vals = np.asarray(fn(mesh.grid()), dtype=float).reshape(mesh.shape + (n,))
-        return cls(mesh, n, values=vals)
-
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
@@ -171,10 +155,6 @@ class FourierField:
         """The field theta -> x(theta + alpha), alpha in turns."""
         return FourierField(self.mesh, self.n, coeffs=shift_coeffs(self.coeffs, self.mesh, alpha))
 
-    def average(self) -> np.ndarray:
-        dc = self.coeffs[(0,) * self.mesh.d]
-        return dc.real / self.mesh.M
-
     def evaluate(self, theta) -> np.ndarray:
         """Evaluate the trigonometric polynomial at arbitrary angles (turns)."""
         theta = np.asarray(theta, dtype=float)
@@ -182,7 +162,7 @@ class FourierField:
         theta = np.atleast_2d(theta)
         freqs = self.mesh.freqs().reshape(-1, self.mesh.d)
         w = self.mesh.half_weights().ravel()
-        phase = np.exp(2j * np.pi * theta @ freqs.T)  # (npts, Mbar)
+        phase = np.exp(2j * np.pi * theta @ freqs.T)  # (npts, prod(cshape))
         flat = self.coeffs.reshape(-1, self.n)
         out = (phase * w) @ flat
         out = out.real / self.mesh.M

@@ -131,12 +131,13 @@ def eigen_pick(B: np.ndarray, branch: str, c: float = 1.0) -> tuple[float, np.nd
     """The dominant real eigenpair off the unit circle for the given branch.
 
     The eigenvector is real, Euclidean norm c, and its largest-magnitude
-    component is positive (a deterministic sign convention).
+    component is positive (a deterministic sign convention).  Eigenvalues
+    whose scores agree to 1e-9 relative tie, and the largest of them wins.
     """
     if branch not in ("stable", "unstable"):
         raise ValueError(f"branch must be stable or unstable, got {branch!r}")
     vals, vecs = np.linalg.eig(np.asarray(B, dtype=float))
-    best = None
+    found = []
     for i, mu in enumerate(vals):
         if abs(mu.imag) > 1e-9 * max(1.0, abs(mu)):
             continue
@@ -146,13 +147,15 @@ def eigen_pick(B: np.ndarray, branch: str, c: float = 1.0) -> tuple[float, np.nd
         if branch == "stable" and abs(lam) >= 1.0:
             continue
         score = abs(lam) if branch == "unstable" else 1.0 / abs(lam)
-        if best is None or score > best[0]:
-            best = (score, lam, i)
-    if best is None:
+        found.append((score, lam, i))
+    if not found:
         raise SpectrumError(
             f"no real {branch} eigenvalue off the unit circle; spectrum {vals}"
         )
-    _, lam, i = best
+    # the +-sqrt(lambda) pair of an r = 2 lift ties: the positive one wins,
+    # not LAPACK's order
+    top = max(score for score, _, _ in found)
+    lam, i = max((lam, i) for score, lam, i in found if score >= top * (1.0 - 1e-9))
     v = vecs[:, i].real
     pivot = np.argmax(np.abs(v))
     if v[pivot] < 0:

@@ -33,6 +33,10 @@ class PendulumParams:
         omega = tuple(float(w) for w in omega)
         if len(omega) != self.d + 1:
             raise ValueError(f"need {self.d + 1} frequencies, got {len(omega)}")
+        if not all(np.isfinite((self.alpha, self.eps) + omega)):
+            raise ValueError(
+                f"alpha, eps and omega must be finite, got {self.alpha}, {self.eps}, {omega}"
+            )
         if omega[0] == 0.0:
             raise ValueError("section frequency omega_0 must be nonzero")
         object.__setattr__(self, "omega", omega)
@@ -91,8 +95,6 @@ class PendulumField(QPVectorField):
         return out
 
 
-def pendulum_field(params: PendulumParams | None = None, **kwargs) -> PendulumField:
-    if params is None:
-        params = PendulumParams(**kwargs)
-    return PendulumField(params)
+def pendulum_field(**kwargs) -> PendulumField:
+    return PendulumField(PendulumParams(**kwargs))
 

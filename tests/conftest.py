@@ -6,11 +6,12 @@ from qptori import (
     MeshSpec,
     NewtonConfig,
     PoincareSpec,
+    jets,
     lifted_seed,
     pendulum_field,
     run_newton,
 )
-from qptori.flowmap import advance_grid, section_map
+from qptori.flowmap import section_map
 
 
 def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
@@ -18,6 +19,11 @@ def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
     mesh = MeshSpec((N,) * d)
     P = PoincareSpec(field, tol=tol, r=r)
     return field, mesh, P
+
+
+def rhs_real(field, x, theta):
+    """The field in real arithmetic at states (batch, n), angles (batch, d+1)."""
+    return field.rhs(x.T[None], theta, jets.REAL)[0].T
 
 
 def newton_seed(lift, mesh):
@@ -77,6 +83,6 @@ def lift_spectral_errors(lifted, single, P, npoints=5):
     comp = x
     for j in range(1, r + 1):
         comp = section_map(P, j, comp, (thetas + (j - 1) * P.rho_section) % 1.0)
-    direct = advance_grid(P, x, thetas, 0.0, 1.0)
+    direct = section_map(PoincareSpec(P.field, tol=P.tol), 1, x, thetas)
     comp_err = float(np.sqrt(((comp - direct) ** 2).sum(-1)).max())
     return eig_err, comp_err

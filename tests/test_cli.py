@@ -106,6 +106,10 @@ class TestConfig:
             ("[model]", "[DEFAULT]\nalpha = 0.5\n\n[model]"),
             ("threads = 1", "threads = 0"),
             ("threads = 1", "threads = -3"),
+            ("alpha = 0.8", "alpha = nan"),
+            ("alpha = 0.8", "alpha = inf"),
+            ("eps = 0.01", "eps = nan"),
+            ("eps = 0.01", "eps = 0.01\nomega = 1.0 nan"),
         ],
         ids=[
             "even-mesh",
@@ -128,6 +132,10 @@ class TestConfig:
             "default-entry",
             "threads-0",
             "threads-negative",
+            "alpha-nan",
+            "alpha-inf",
+            "eps-nan",
+            "omega-nan",
         ],
     )
     def test_bad_config_refused(self, tmp_path, capsys, old, new):
@@ -298,7 +306,7 @@ class TestVerifyCommand:
         phi = FourierField.load(tmp_path / "torus.phi.bin")
         coeffs = phi.coeffs.copy()
         coeffs[2, 0] += 1e-6 * phi.mesh.M
-        FourierField.from_coeffs(phi.mesh, coeffs).save(tmp_path / "torus.phi.bin")
+        FourierField(phi.mesh, phi.n, coeffs=coeffs).save(tmp_path / "torus.phi.bin")
         rc = cli.main(
             ["verify", "--config", str(config), "--out", str(tmp_path), str(tmp_path / "torus")]
         )

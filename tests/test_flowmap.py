@@ -3,11 +3,11 @@ import pytest
 
 from qptori import flowmap, jets
 from qptori.errors import IntegrationError
-from qptori.flowmap import QPVectorField, integrate_span, section_map
+from qptori.flowmap import PoincareSpec, QPVectorField, integrate_span, section_map
 from qptori.models import pendulum_field
 from qptori.multishoot import LiftedMap
 
-from conftest import pendulum_setup
+from conftest import pendulum_setup, rhs_real
 
 
 # the test fields see coefficient-major states x (ncoeff, n, batch)
@@ -75,8 +75,11 @@ class TestIntegrate:
         assert all(err <= 100 * tol for err, tol in zip(errs, tols))
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            integrate_span(ZeroField(), np.zeros((1, 2, 1)), np.zeros((1, 2)), 1.0, jets.REAL, 0.0)
+        # a NaN tolerance is refused at once, not after shrinking the step
+        # until it underflows
+        for tol in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                integrate_span(ZeroField(), np.zeros((1, 2, 1)), np.zeros((1, 2)), 1.0, jets.REAL, tol)
 
     def test_blowup_raises(self):
         field = BlowupField()
@@ -207,6 +210,11 @@ class TestSectionMap:
         with pytest.raises(ValueError):
             section_map(P, 3, np.zeros((1, 2)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_bad_tolerance_refused(self, tol):
+        with pytest.raises(ValueError):
+            PoincareSpec(pendulum_field(d=1), tol=tol)
+
     def test_composition_reproduces_map(self):
         # chaining the r section maps with the per-section angle advance
         # reproduces the full return map
@@ -246,7 +254,8 @@ class TestSectionMap:
         field, mesh, P = pendulum_setup(1, 31, r=2)
         expected = (np.sqrt(2.0) / 2.0) % 1.0
         assert P.rho_section[0] == pytest.approx(expected, abs=1e-15)
-        assert P.rho_section[0] != pytest.approx((field.rho[0] / 2.0) % 1.0, abs=1e-3)
+        folded = (field.omega[1] / field.omega[0]) % 1.0
+        assert P.rho_section[0] != pytest.approx((folded / 2.0) % 1.0, abs=1e-3)
 
 
 class TestPeriodicity:
@@ -258,6 +267,6 @@ class TestPeriodicity:
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
-            a = field.rhs_point(x, theta)
-            b = field.rhs_point(x, theta + e)
+            a = rhs_real(field, x, theta)
+            b = rhs_real(field, x, theta + e)
             assert np.abs(a - b).max() < 1e-12

@@ -2,7 +2,9 @@
 is used, every import names the standard library, the package itself or a
 declared dependency, importing the CLI loads neither scipy nor the process
 pool, every private module-level function, class or constant is read in
-its own module, every function parameter and local name is read, the map
+its own module, every public one (and every public method or property) is
+read somewhere in the package or documented in ``qptori.__all__`` or the
+README, every function parameter and local name is read, the map
 layer imports nothing from the algorithm layer, no module reads the
 environment, every name the benchmark's tracer wraps still exists and reads
 its sizes where they are, and the benchmark's CLI config still loads.
@@ -25,6 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qptori
 from qptori import cli, flowmap, jets
 from qptori.models import pendulum_field
 
@@ -149,6 +152,60 @@ def test_private_names_are_read(path):
     assert not unread, f"private names never read in their module: {', '.join(unread)}"
 
 
+def _public_names(tree: ast.Module) -> dict[str, int]:
+    """Each public module-level function, class or constant, and each public
+    method or property of a module-level class (``Class.name``) -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        names[f"{node.name}.{item.name}"] = item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(t, ast.Name):
+                    names[t.id] = node.lineno
+    return {q: line for q, line in names.items() if not q.split(".")[-1].startswith("_")}
+
+
+def _read_in_src() -> set[str]:
+    """Every name or attribute that ``src/`` loads, and every name it imports."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return read
+
+
+def _documented() -> set[str]:
+    """``qptori.__all__`` and every identifier the README shows in backticks,
+    inline or fenced."""
+    text = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return set(qptori.__all__) | {w for span in code for w in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def test_public_names_are_read():
+    # the public API is what the package itself uses and what it documents;
+    # a name that only tests read is dead weight.  An exported class does not
+    # exempt its methods.
+    keep = _read_in_src() | _documented()
+    unread = sorted(
+        f"{path.name}:{line} {qual}"
+        for path in sorted(SRC.glob("*.py"))
+        for qual, line in _public_names(ast.parse(path.read_text())).items()
+        if qual.split(".")[-1] not in keep
+    )
+    assert not unread, f"public names neither read in src/ nor documented: {', '.join(unread)}"
+
+
 MAP_LAYER = ("errors", "fourier", "jets", "parallel", "flowmap", "models", "multishoot")
 ALGORITHM_LAYER = {"torus", "manifold", "verify", "cli"}
 
@@ -216,7 +273,7 @@ def test_perfbench_span_size_is_the_batch(monkeypatch):
 
     monkeypatch.setattr(flowmap, "integrate_span", recording)
     monkeypatch.setattr(flowmap, "run_chunks", lambda fn, payloads: [fn(p) for p in payloads])
-    P = flowmap.PoincareSpec(pendulum_field(d=1), tol=1e-10)
+    P = flowmap.PoincareSpec(pendulum_field(d=1), tol=1e-10, r=4)
     rng = np.random.default_rng(0)
     x = np.array([np.pi, 0.0]) + 0.01 * rng.standard_normal((5, 2))
     thetas = rng.random((5, 1))
@@ -225,7 +282,7 @@ def test_perfbench_span_size_is_the_batch(monkeypatch):
         jets.seed_gradient(x),
         jets.seed_series(np.stack([x, np.ones_like(x)]), 3),
     ):
-        flowmap.advance_grid(P, seeds, thetas, 0.0, 0.25, spec)
+        flowmap.section_map(P, 1, seeds, thetas, spec)
     sizes = [tracing._span_info(args, kwargs) for args, kwargs in calls]
     assert sizes == [("real", 5), ("grad", 5), ("series", 5)]
 

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from qptori import jets
 from qptori.errors import SpectrumError
+from qptori.flowmap import PoincareSpec, QPVectorField
 from qptori.fourier import FourierField, MeshSpec
 from qptori.manifold import (
     ManifoldExpansion,
@@ -10,9 +14,14 @@ from qptori.manifold import (
     stable_expansion,
     unstable_expansion,
 )
-from qptori.torus import solve_cohomological
+from qptori.multishoot import LiftedMap
+from qptori.torus import NewtonConfig, run_newton, solve_cohomological
+from qptori.verify import test_order, torus_suite
 
 from conftest import newton_seed, pendulum_setup
+
+# the imported accuracy check is a library function, not a pytest case
+test_order.__test__ = False
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,13 @@ class TestEigenPick:
         lam, v = eigen_pick(np.diag([2.0, 0.5]), "stable")
         assert lam == 0.5
         assert np.allclose(v, [0.0, 1.0])
+        # a +-pair ties in score: the positive eigenvalue wins in either order
+        for pair in ([-3.0, 3.0], [3.0, -3.0]):
+            lam, _ = eigen_pick(np.diag(pair + [0.5]), "unstable")
+            assert lam == 3.0
+        for pair in ([-0.25, 0.25], [0.25, -0.25]):
+            lam, _ = eigen_pick(np.diag(pair + [4.0]), "stable")
+            assert lam == 0.25
 
     def test_eigen_residual(self, d1_torus):
         _, _, sol = d1_torus
@@ -120,22 +136,23 @@ class TestExpansions:
         # for the unforced pendulum, (x, y) -> (x, -y) with time reversal
         # maps the unstable manifold of (pi, 0) onto the stable one; the two
         # expansions agree up to that flip and a sigma rescaling
-        from qptori.multishoot import LiftedMap
-        from qptori.torus import NewtonConfig, run_newton
-
         field, mesh, P = pendulum_setup(1, 15, eps=0.0)
         qpmap = LiftedMap(P)
         sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
         uns = unstable_expansion(sol, qpmap, m=4)
         sta = stable_expansion(sol, qpmap, m=4)
         flip = np.array([1.0, -1.0])
+
+        def average(f):
+            return f.coeffs[(0,) * f.mesh.d].real / f.mesh.M
+
         # the sigma scale between the parametrizations comes from order 1
-        u1 = uns.coeffs[1].average()
-        s1 = sta.coeffs[1].average()
+        u1 = average(uns.coeffs[1])
+        s1 = average(sta.coeffs[1])
         c = s1[1] / (flip[1] * u1[1])
         for k in range(2, 5):
-            lhs = sta.coeffs[k].average()
-            rhs = c**k * flip * uns.coeffs[k].average()
+            lhs = average(sta.coeffs[k])
+            rhs = c**k * flip * average(uns.coeffs[k])
             assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
 
     def test_order_too_low(self, d1_torus):
@@ -177,3 +194,62 @@ class TestPersistence:
 
         with pytest.raises(ArtifactError):
             ManifoldExpansion.load(str(tmp_path / "nothing"))
+
+
+class DampedPendulum(QPVectorField):
+    """(x, y)' = (y, -0.8 sin x - 0.05 y + 0.01 / (3 + sum_i cos 2 pi theta_i)).
+
+    It implements ``rhs`` only, so the integrator runs the default ``span``;
+    its divergence is -0.05, so det DP = exp(-0.05 * 2 pi) != 1.
+    """
+
+    n = 2
+    omega = np.array([1.0, np.sqrt(2.0)])
+    gamma = 0.05
+
+    def rhs(self, x, theta, spec):
+        sin_x, _ = jets.sin_cos(x[:, 0], spec)
+        out = np.empty_like(x)
+        out[:, 0] = x[:, 1]
+        out[:, 1] = -0.8 * sin_x - self.gamma * x[:, 1]
+        out[0, 1] += 0.01 / (3.0 + np.cos(2.0 * np.pi * theta).sum(axis=-1))
+        return out
+
+
+@pytest.fixture(scope="module")
+def damped_run():
+    """Torus, tests 1-4 and both order-4 manifolds of the damped pendulum."""
+    field = DampedPendulum()
+    mesh = MeshSpec((31,))
+    qpmap = LiftedMap(PoincareSpec(field))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        branches = [unstable_expansion(sol, qpmap, m=4), stable_expansion(sol, qpmap, m=4)]
+        torus_tests = torus_suite(qpmap, sol.phi, tol=1e-10)
+        order_tests = [test_order(exp, qpmap) for exp in branches]
+    return field, sol, branches, torus_tests, order_tests, caught
+
+
+class TestOtherField:
+    """The whole pipeline on a field other than the built-in pendulum."""
+
+    def test_liouville_product(self, damped_run):
+        field, sol, *_ = damped_run
+        lam_s, lam_u = np.sort(np.abs(sol.eigenvalues()))
+        expected = np.exp(-field.gamma * field.delta)
+        assert abs(lam_s * lam_u - expected) <= 1e-10 * expected
+
+    def test_accuracy_tests_pass(self, damped_run):
+        *_, torus_tests, order_tests, _ = damped_run
+        for t in torus_tests + order_tests:
+            assert t.passed, str(t)
+
+    def test_order_errors(self, damped_run):
+        _, _, branches, *_ = damped_run
+        for exp in branches:
+            assert max(exp.order_errors) <= 1e-10, (exp.branch, exp.order_errors)
+
+    def test_no_warning(self, damped_run):
+        caught = damped_run[-1]
+        assert not caught, [str(w.message) for w in caught]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qptori import jets
-from qptori.flowmap import advance_grid, section_map
+from qptori.flowmap import section_map
 from qptori.manifold import eigen_pick, unstable_expansion
 from qptori.multishoot import LiftedMap, lifted_seed
 from qptori.torus import NewtonConfig, run_newton
@@ -30,20 +30,20 @@ class TestLift:
         x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((4, 2))
         theta = rng.random((4, 1))
         tables = np.stack([x, 0.1 * rng.standard_normal((4, 2))])
-        for inverse, fracs in ((False, (0.0, 1.0)), (True, (1.0, 0.0))):
-            plain = advance_grid(P, x, theta, *fracs)
+        for inverse in (False, True):
+            plain = section_map(P, 1, x, theta, inverse=inverse)
             assert np.array_equal(lift.images(x, theta, inverse=inverse), plain)
 
             seeds, spec = jets.seed_gradient(x)
-            vals, jac = jets.split_gradient(advance_grid(P, seeds, theta, *fracs, spec))
+            vals, jac = jets.split_gradient(section_map(P, 1, seeds, theta, spec, inverse=inverse))
             lift_vals, lift_jac = lift.images_and_jacobian(x, theta, inverse=inverse)
             assert np.array_equal(lift_vals, vals)
             assert np.array_equal(lift_jac, jac)
 
             seeds, spec = jets.seed_series(tables, 3)
-            series = np.moveaxis(advance_grid(P, seeds, theta, *fracs, spec), -1, 0)
+            series = np.moveaxis(section_map(P, 1, seeds, theta, spec, inverse=inverse), -1, 0)
             assert np.array_equal(lift.transport_series(tables, theta, 3, inverse=inverse), series)
-        assert np.array_equal(lift.rho, field.rho)
+        assert np.array_equal(lift.rho, (field.omega[1:] / field.omega[0]) % 1.0)
 
     def test_lifted_rotation(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)

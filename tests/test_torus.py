@@ -181,7 +181,7 @@ class TestResonanceMonitor:
     def _geometric_field(self, mesh, rate=0.5):
         freqs = mesh.freqs()
         coeffs = (rate ** np.abs(freqs).max(axis=-1)).astype(complex) * mesh.M
-        return FourierField.from_coeffs(mesh, coeffs[..., None])
+        return FourierField(mesh, 1, coeffs=coeffs[..., None])
 
     def test_smooth_decay_clean(self):
         mesh = MeshSpec((15,))
@@ -192,7 +192,7 @@ class TestResonanceMonitor:
         f = self._geometric_field(mesh)
         coeffs = f.coeffs.copy()
         coeffs[5, 0] *= 1e6
-        flagged = resonance_monitor(FourierField.from_coeffs(mesh, coeffs))
+        flagged = resonance_monitor(FourierField(mesh, 1, coeffs=coeffs))
         assert (5,) in flagged
 
 

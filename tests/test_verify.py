@@ -78,7 +78,7 @@ class TestInvariance:
         mesh, qpmap, phi = exact_fixture
         coeffs = phi.coeffs.copy()
         coeffs[3, 0] += 1e-6 * mesh.M
-        bad = FourierField.from_coeffs(mesh, coeffs)
+        bad = FourierField(mesh, phi.n, coeffs=coeffs)
         rep = test_invariance(qpmap, bad)
         assert not rep.passed
         assert 1e-7 < rep.measured < 1e-4
@@ -90,7 +90,7 @@ class TestTail:
         coeffs = np.zeros(mesh.cshape + (1,), dtype=complex)
         coeffs[0, 0] = 1.0
         coeffs[3, 0] = 0.5
-        rep = test_tail(FourierField.from_coeffs(mesh, coeffs))
+        rep = test_tail(FourierField(mesh, 1, coeffs=coeffs))
         assert rep.passed
         assert rep.measured == 0.0
 
@@ -98,8 +98,13 @@ class TestTail:
         def fn(theta):
             return 1.0 / (1.3 + np.cos(2 * np.pi * theta[..., :1]))
 
-        coarse = test_tail(FourierField.from_function(MeshSpec((15,)), fn, 1), tol=1e-10)
-        fine = test_tail(FourierField.from_function(MeshSpec((101,)), fn, 1), tol=1e-10)
+        coarse, fine = (
+            test_tail(
+                FourierField.from_values(mesh, fn(mesh.grid()).reshape(mesh.shape + (1,))),
+                tol=1e-10,
+            )
+            for mesh in (MeshSpec((15,)), MeshSpec((101,)))
+        )
         assert not coarse.passed
         assert fine.passed
 

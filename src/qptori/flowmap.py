@@ -25,7 +25,11 @@ are linear, the nonlinearity lives in the field evaluation, and the
 step-size control measures every jet coefficient.  ``integrate_span`` takes
 and returns (batch, n, ncoeff) arrays and carries the state, the stages and
 the stage arguments coefficient-major in between, converting once at each
-end.  Grid sweeps share one step sequence per chunk, which makes every map
+end.  The 13 stages sit in one array that is read as a matrix (13,
+ncoeff*n*batch), so each stage combination, the update and each error
+estimate is a single ``np.dot``; every stage argument is built in place in
+one buffer per span, which the stage function reads during its call only.
+Grid sweeps share one step sequence per chunk, which makes every map
 evaluation deterministic and independent of the worker count.
 
 The tableau is the Dormand-Prince 8(5,3) pair DOP853 of Hairer, Norsett and
@@ -240,8 +244,14 @@ def integrate_span(
     h = 0.01 * d0 / d1 if d1 > 1e-15 and d0 > 1e-15 else 1e-6
     h = direction * min(h, abs(t_span))
 
+    # K2 is the stages as a matrix (13, ncoeff*n*batch); each stage argument
+    # is built in ``yi`` with the two roundings of y + h * (a . K)
     K = np.empty((_N_STAGES + 1,) + y.shape)
     K[0] = k0
+    K2 = K.reshape(_N_STAGES + 1, -1)
+    yi = np.empty_like(y)
+    yi_flat = yi.reshape(-1)
+    abs_y = np.abs(y)
     npts = y.size
 
     for _ in range(max_steps):
@@ -250,18 +260,27 @@ def integrate_span(
         if abs(h) < 1e-15 * max(1.0, abs(t_span)):
             raise IntegrationError(f"step size underflow at t={t:.6g}", t_reached=t)
         for i in range(1, _N_STAGES):
-            yi = y + h * np.tensordot(_A[i, :i], K[:i], axes=1)
+            np.dot(_A[i, :i], K2[:i], out=yi_flat)
+            yi *= h
+            yi += y
             K[i] = f(t + _C[i] * h, yi)
-        y_new = y + h * np.tensordot(_B, K[:_N_STAGES], axes=1)
+        y_new = np.dot(_B, K2[:_N_STAGES]).reshape(y.shape)
+        y_new *= h
+        y_new += y
         f_new = f(t + h, y_new)
         K[_N_STAGES] = f_new
 
         # the error norm covers every jet coefficient: controlling only the
         # degree-0 part lets the transported derivatives go unchecked when
         # the point orbit is (nearly) stationary, e.g. at an equilibrium
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 = np.tensordot(_E5, K, axes=1) / scale
-        err3 = np.tensordot(_E3, K, axes=1) / scale
+        abs_new = np.abs(y_new)
+        scale = np.maximum(abs_y, abs_new).reshape(-1)
+        scale *= tol
+        scale += tol
+        err5 = np.dot(_E5, K2)
+        err5 /= scale
+        err3 = np.dot(_E3, K2)
+        err3 /= scale
         err5_sq = float(np.sum(err5 * err5))
         err3_sq = float(np.sum(err3 * err3))
         if err5_sq == 0.0 and err3_sq == 0.0:
@@ -271,7 +290,7 @@ def integrate_span(
 
         if err_norm <= 1.0:
             t += h
-            y = y_new
+            y, abs_y = y_new, abs_new
             K[0] = f_new
             if t == t_span:
                 return y.transpose(2, 1, 0).copy()

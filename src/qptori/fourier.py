@@ -20,6 +20,8 @@ the constant term).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -204,7 +206,11 @@ class FourierField:
 
     @classmethod
     def load(cls, path) -> "FourierField":
+        """Read a file written by ``save``.  The header's d and n are checked
+        against the file's length before anything of that size is read, so a
+        corrupt header raises ValueError instead of a huge allocation."""
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             magic = fh.read(len(_MAGIC))
             if magic != _MAGIC:
                 raise IOError(f"{path}: not a coefficient file")
@@ -212,10 +218,17 @@ class FourierField:
                 version, d, n = struct.unpack("<3q", fh.read(24))
                 if version != _VERSION:
                     raise IOError(f"{path}: unsupported version {version}")
+                if d < 1 or n < 1 or 8 * d > size - fh.tell():
+                    raise ValueError(f"{path}: header gives d={d}, n={n} for {size} bytes")
                 shape = struct.unpack(f"<{d}q", fh.read(8 * d))
             except struct.error as exc:
                 raise ValueError(f"{path}: truncated header") from exc
             mesh = MeshSpec(tuple(shape))
+            payload = size - fh.tell()
+            if payload != 16 * n * math.prod(mesh.cshape):
+                raise ValueError(
+                    f"{path}: {payload} coefficient bytes do not fit mesh {mesh.shape}, n={n}"
+                )
             raw = np.frombuffer(fh.read(), dtype="<c16")
         coeffs = raw.reshape(mesh.cshape + (n,)).astype(complex)
         return cls(mesh, n, coeffs=coeffs)

@@ -11,21 +11,24 @@ Jets live in two layouts.  Inside the integrator they are coefficient-major,
 shape (ncoeff, ...): coefficient k of every state component and batch point
 is one contiguous row, so each jet operation is a few long array operations
 rather than many short ones over 1-10 coefficients per point.  ``sin_cos``
-takes this layout; its order-k recurrence is one contraction over the
-stacked lower orders per coefficient.  The transport interface
-(``flowmap.integrate_span``, the seeds below) keeps the coefficients on the
-*last* axis, (batch, n, ncoeff), and the integrator converts once per span.
+takes this layout and carries the sine and cosine coefficients together as
+(s_k, c_k) pairs, so its order-k recurrence is one contraction over the
+stacked lower pairs per order, not one per coefficient of each function.
+The transport interface (``flowmap.integrate_span``, the seeds below) keeps
+the coefficients on the *last* axis, (batch, n, ncoeff), and the integrator
+converts once per span.
 
 The module holds what the vector fields and the transport use: linear
 operations are plain numpy arithmetic on the coefficient arrays, the one
 elementary function is ``sin_cos``, and the seeds turn states and manifold
 coefficient tables into jets.  All operations are pure and deterministic;
-there is no shared state.
+the only shared state is the read-only order tables that ``sin_cos`` caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,12 +70,27 @@ def _compose_gradient(a: np.ndarray, f0: np.ndarray, f1: np.ndarray) -> np.ndarr
     return out
 
 
+@lru_cache(maxsize=None)
+def _order_tables(order: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors j = 1..order of the order-k recurrence, and the divisors
+    (k, -k) of each row of (s_k, c_k) pairs: s_k = x/k and c_k = x/(-k),
+    which is -(x/k) exactly in binary floating point.  Both are shaped to
+    broadcast against coefficient-major jets of ``ndim`` axes."""
+    j = np.arange(1.0, order + 1.0)
+    tail = (1,) * (ndim - 1)
+    div = np.multiply.outer(j, [1.0, -1.0]).reshape((order, 2) + tail)
+    j = j.reshape((order,) + tail)
+    j.flags.writeable = div.flags.writeable = False
+    return j, div
+
+
 def sin_cos(a: np.ndarray, spec: JetSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sine and cosine of coefficient-major jets (ncoeff, ...), computed jointly.
 
     The series coefficients follow s' = a' c and c' = -a' s: order k is
     s_k = sum_{j=1..k} j a_j c_{k-j} / k, likewise c_k, summed in order of
-    increasing j.
+    increasing j.  Above order one, s and c are views of one array of
+    (s_k, c_k) pairs.
     """
     a = _check(a, spec)
     s0, c0 = np.sin(a[0]), np.cos(a[0])
@@ -81,17 +99,18 @@ def sin_cos(a: np.ndarray, spec: JetSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.order == 1:
         return _compose_gradient(a, s0, c0), _compose_gradient(a, c0, -s0)
     o = spec.order
-    ja = np.arange(1.0, o + 1.0).reshape((o,) + (1,) * (a.ndim - 1)) * a[1:]
-    s = np.empty_like(a)
-    c = np.empty_like(a)
-    s[0], c[0] = s0, c0
+    j, div = _order_tables(o, a.ndim)
+    ja = j * a[1:]
+    sc = np.empty((o + 1, 2) + a.shape[1:])
+    sc[0, 0], sc[0, 1] = s0, c0
+    # one contraction per order over the lower rows with the pair swapped;
     # einsum accumulates over j row by row, each row a contiguous pass over
     # the batch; vecdot along the leading axis makes one short strided dot
     # per point, slower at batch 8192
     for k in range(1, o + 1):
-        s[k] = np.einsum("j...,j...->...", ja[:k], c[k - 1 :: -1]) / k
-        c[k] = -np.einsum("j...,j...->...", ja[:k], s[k - 1 :: -1]) / k
-    return s, c
+        np.einsum("j...,jp...->p...", ja[:k], sc[k - 1 :: -1, ::-1], out=sc[k])
+        sc[k] /= div[k - 1]
+    return sc[:, 0], sc[:, 1]
 
 
 # -- convenience seeds for transport ------------------------------------

@@ -90,7 +90,7 @@ class PendulumField(QPVectorField):
         sin_x, _ = jets.sin_cos(x[:, 0], spec)
         out = np.empty_like(x)
         out[:, 0] = x[:, 1]
-        out[:, 1] = -self.params.alpha * sin_x
+        np.multiply(sin_x, -self.params.alpha, out=out[:, 1])
         out[0, 1] += self.params.eps * zeta
         return out
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ class TestResume:
         assert not (tmp_path / "torus_report.json").exists()
         assert not (tmp_path / "torus.phi.bin").exists()
 
+    def test_corrupt_header_refused(self, run_dir, tmp_path, capsys):
+        # a d of 10^12 in the header is refused, not read as 8 TB of mesh sizes
+        out, config = run_dir
+        for suffix in (".C.bin", ".json"):
+            shutil.copy(out / f"torus{suffix}", tmp_path / f"torus{suffix}")
+        raw = (out / "torus.phi.bin").read_bytes()
+        (tmp_path / "torus.phi.bin").write_bytes(_patch_header(16, 10**12)(raw))
+        argv = ["manifold", "--config", str(config), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--resume", str(tmp_path / "torus")]) == 5
+        assert capsys.readouterr().err.startswith("error: cannot read torus artifact")
+
 
 class TestManifoldCommand:
     def test_artifacts_written(self, run_dir):
@@ -330,6 +342,12 @@ class TestVerifyCommand:
         assert rc == 5
 
 
+def _patch_header(offset, value):
+    """Overwrite one int64 of a coefficient file's header (d at byte 16, n at
+    24, N_1 at 32)."""
+    return lambda raw: raw[:offset] + struct.pack("<q", value) + raw[offset + 8 :]
+
+
 class TestSliceCommand:
     def test_torus_slice_rows(self, run_dir, tmp_path):
         out, _ = run_dir
@@ -345,8 +363,26 @@ class TestSliceCommand:
             lambda raw: raw[:56],  # header intact, coefficients gone
             lambda raw: raw[:20],  # cut inside the header
             lambda raw: b"NOTQPTF\x00" + raw[8:],  # bad magic
+            _patch_header(16, 10**12),
+            _patch_header(16, 0),
+            _patch_header(16, -1),
+            _patch_header(24, 0),
+            _patch_header(24, 10**12),
+            _patch_header(32, 10**12 + 1),
+            lambda raw: raw + bytes(16),
         ],
-        ids=["truncated-coefficients", "truncated-header", "bad-magic"],
+        ids=[
+            "truncated-coefficients",
+            "truncated-header",
+            "bad-magic",
+            "d-huge",
+            "d-0",
+            "d-negative",
+            "n-0",
+            "n-huge",
+            "mesh-huge",
+            "trailing-bytes",
+        ],
     )
     def test_corrupt_torus_artifact(self, run_dir, tmp_path, capsys, damage):
         out, _ = run_dir

@@ -82,11 +82,16 @@ class TestLayout:
         rng = np.random.default_rng(spec.ncoeff + batch)
         ref_in = rng.standard_normal((batch, 2, spec.ncoeff))
         ref_in *= 10.0 ** rng.integers(-3, 2, ref_in.shape)
-        s, c = jets.sin_cos(np.ascontiguousarray(ref_in.T), spec)
         ref_s, ref_c = sin_cos_by_coefficient(ref_in, spec)
-        assert s.shape == c.shape == ref_in.T.shape
-        assert np.array_equal(s, ref_s.T)
-        assert np.array_equal(c, ref_c.T)
+        x = np.ascontiguousarray(ref_in.T)
+        # the whole state, and the view x[:, 0] that the pendulum passes:
+        # contiguous over the batch, strided over the coefficients
+        cases = [(x, ref_s.T, ref_c.T), (x[:, 0], ref_s[:, 0].T, ref_c[:, 0].T)]
+        for a, expect_s, expect_c in cases:
+            s, c = jets.sin_cos(a, spec)
+            assert s.shape == c.shape == a.shape
+            assert np.array_equal(s, expect_s)
+            assert np.array_equal(c, expect_c)
 
     def test_coefficient_axis_checked(self):
         with pytest.raises(ValueError):

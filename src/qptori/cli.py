@@ -345,6 +345,8 @@ def _slice_thetas(mesh: MeshSpec, axis: int, fixed=(), count: int | None = None)
         raise ArtifactError(f"--axis {axis} is outside 1..{d} for this artifact")
     if fixed and len(fixed) != d - 1:
         raise ArtifactError(f"--fixed needs {d - 1} values for this artifact, got {len(fixed)}")
+    if not np.isfinite(fixed).all():
+        raise ArtifactError(f"--fixed takes finite angles, got {', '.join(map(str, fixed))}")
     if count is not None and count < 1:
         raise ArtifactError(f"--count must be positive, got {count}")
     count = count or mesh.shape[axis - 1]
@@ -363,12 +365,12 @@ def _slice_torus_csv(phi: FourierField, path, thetas: np.ndarray, axis: int) -> 
 
 def _slice_manifold_csv(exp: ManifoldExpansion, path, thetas: np.ndarray, axis: int) -> None:
     sigmas = np.linspace(-1.0, 1.0, 9)
+    values = exp.evaluate(thetas, sigmas)
     with open(path, "w") as fh:
         fh.write(",".join([f"theta{axis}", "sigma"] + [f"w{i}" for i in range(exp.n)]) + "\n")
-        for th in thetas:
-            for s in sigmas:
-                w = exp.evaluate(th, s)
-                row = [f"{th[axis - 1]:.17e}", f"{s:.17e}"] + [f"{v:.17e}" for v in w]
+        for th, row_values in zip(thetas[:, axis - 1], values):
+            for s, w in zip(sigmas, row_values):
+                row = [f"{th:.17e}", f"{s:.17e}"] + [f"{v:.17e}" for v in w]
                 fh.write(",".join(row) + "\n")
 
 

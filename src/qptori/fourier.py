@@ -16,6 +16,14 @@ Conventions used throughout the package:
 Real cosine/sine amplitudes relate to the stored complex coefficients by
 ``a_c = 2 Re(xhat)/M`` and ``a_s = -2 Im(xhat)/M`` (half of that weight for
 the constant term).
+
+Off-grid values factor by angle: ``evaluate_coeffs`` contracts the packed
+coefficients one axis at a time with the 1-D phase vectors
+``exp(2 pi i kappa_j theta_j)``, the stored half-axis counted twice for
+``kappa_d > 0``.  A value costs O(Mbar n) multiply-adds and no Mbar-sized
+exponential, with ``Mbar = prod(cshape)``; axes on which all requested angles
+agree are contracted once for all of them, so a line of angles costs
+O(N_axis) per angle once its fixed axes are done.
 """
 
 from __future__ import annotations
@@ -69,12 +77,6 @@ class MeshSpec:
         """Signed frequency tuple of every stored coefficient, shape cshape + (d,)."""
         return _freq_grid(self.shape)
 
-    def half_weights(self) -> np.ndarray:
-        """Multiplicity of each stored coefficient in the full index set (1 or 2)."""
-        w = np.ones(self.cshape)
-        w[..., 1:] = 2.0
-        return w
-
 
 @lru_cache(maxsize=None)
 def _grid_angles(shape: tuple[int, ...]) -> np.ndarray:
@@ -84,10 +86,16 @@ def _grid_angles(shape: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _freq_grid(shape: tuple[int, ...]) -> np.ndarray:
+def _axis_freqs(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The signed frequencies stored along each axis, in storage order."""
     axes = [np.rint(np.fft.fftfreq(N) * N).astype(np.int64) for N in shape[:-1]]
     axes.append(np.arange(shape[-1] // 2 + 1, dtype=np.int64))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return tuple(axes)
+
+
+@lru_cache(maxsize=None)
+def _freq_grid(shape: tuple[int, ...]) -> np.ndarray:
+    mesh = np.meshgrid(*_axis_freqs(shape), indexing="ij")
     return np.stack(mesh, axis=-1)
 
 
@@ -103,6 +111,58 @@ def analyze(values: np.ndarray, d: int) -> np.ndarray:
 def synthesize(coeffs: np.ndarray, mesh: MeshSpec) -> np.ndarray:
     """Packed complex coefficients -> grid values (inverse of analyze)."""
     return np.fft.irfftn(coeffs, s=mesh.shape, axes=tuple(range(mesh.d)))
+
+
+def _contract(work: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Sum axis 1 of ``work`` (P or 1, K, ...) against ``phases`` (P or 1, K).
+
+    Elementwise multiply-adds in a fixed k order: a point's sum is the same
+    to the bit whether it is contracted alone, shared, or in a block.
+    """
+    ph = phases.reshape(phases.shape + (1,) * (work.ndim - 2))
+    acc = ph[:, 0] * work[:, 0]
+    for k in range(1, work.shape[1]):
+        acc += ph[:, k] * work[:, k]
+    return acc
+
+
+def evaluate_coeffs(coeffs: np.ndarray, mesh: MeshSpec, theta) -> np.ndarray:
+    """Values at arbitrary angles (turns) of the series with packed coefficients.
+
+    ``theta`` has shape (..., d) and the result ``theta.shape[:-1] +
+    coeffs.shape[d:]``: any trailing coefficient axes ride along.  The axes
+    on which every angle agrees are contracted first, once for all angles,
+    then the others, each in axis order; the angles go through those in
+    blocks of the first such axis's length, so no block holds more partial
+    sums than there are coefficients.  A value is therefore bitwise the same
+    in every call that contracts its axes in the same order: one angle
+    alone, or a line along the last axis, for example.
+    """
+    d = mesh.d
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.reshape(-1, d)
+    agree = [bool((flat[:, j] == flat[:1, j]).all()) for j in range(d)]
+    order = [j for j in range(d) if agree[j]] + [j for j in range(d) if not agree[j]]
+    phases = []
+    for j, f in enumerate(_axis_freqs(mesh.shape)):
+        ph = np.exp((2j * np.pi) * np.multiply.outer(flat[:1, j] if agree[j] else flat[:, j], f))
+        if j == d - 1:
+            ph[:, 1:] *= 2.0  # kappa_d > 0 stands for kappa and -kappa
+        phases.append(ph)
+    work = np.moveaxis(coeffs, order, range(d))[None]
+    fixed = agree.count(True)
+    for j in order[:fixed]:
+        work = _contract(work, phases[j])
+    if fixed < d:
+        step = work.shape[1]
+        blocks = []
+        for start in range(0, flat.shape[0], step):
+            part = work
+            for j in order[fixed:]:
+                part = _contract(part, phases[j][start : start + step])
+            blocks.append(part)
+        work = np.concatenate(blocks)
+    return (work.real / mesh.M).reshape(theta.shape[:-1] + coeffs.shape[d:])
 
 
 def shift_coeffs(coeffs: np.ndarray, mesh: MeshSpec, alpha) -> np.ndarray:
@@ -158,17 +218,8 @@ class FourierField:
         return FourierField(self.mesh, self.n, coeffs=shift_coeffs(self.coeffs, self.mesh, alpha))
 
     def evaluate(self, theta) -> np.ndarray:
-        """Evaluate the trigonometric polynomial at arbitrary angles (turns)."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        theta = np.atleast_2d(theta)
-        freqs = self.mesh.freqs().reshape(-1, self.mesh.d)
-        w = self.mesh.half_weights().ravel()
-        phase = np.exp(2j * np.pi * theta @ freqs.T)  # (npts, prod(cshape))
-        flat = self.coeffs.reshape(-1, self.n)
-        out = (phase * w) @ flat
-        out = out.real / self.mesh.M
-        return out[0] if single else out
+        """Values at angles theta (turns), shape (d,) or (npts, d): (n,) or (npts, n)."""
+        return evaluate_coeffs(self.coeffs, self.mesh, theta)
 
     def mode_norms(self) -> np.ndarray:
         """Euclidean size of the real (cos, sin) amplitude pair per stored kappa.

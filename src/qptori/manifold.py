@@ -14,7 +14,9 @@ DP(phi(theta), theta) C(theta) = C(theta + rho) B it follows that
 DP^{-1} C(theta) = C(theta - rho) B^{-1}, so the stable manifold of P with
 multiplier lambda_s is the unstable manifold of P^{-1} with rotation -rho,
 Floquet matrix B^{-1} and multiplier 1/lambda_s, on the same phi and C.
-Both branches store a_k(theta) on the plain grid.
+Both branches store a_k(theta) on the plain grid.  Off the grid, W is one
+contraction of all m+1 coefficient series over the angles
+(``fourier.evaluate_coeffs``) followed by Horner's rule in sigma.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, QptoriError, SpectrumError
-from .fourier import FourierField, MeshSpec
+from .fourier import FourierField, MeshSpec, evaluate_coeffs
 from .torus import TorusSolution, solve_cohomological
 
 _TAIL_WARN = 1e-10
@@ -62,13 +64,21 @@ class ManifoldExpansion:
     def n(self) -> int:
         return self.coeffs[0].n
 
-    def evaluate(self, theta, sigma: float) -> np.ndarray:
-        """W at one angle and parameter value."""
-        out = np.zeros(self.n)
-        power = 1.0
-        for a in self.coeffs:
-            out += power * a.evaluate(theta)
-            power *= sigma
+    def evaluate(self, theta, sigma) -> np.ndarray:
+        """W at angles theta, shape (d,) or (npts, d), and parameter values
+        sigma, a number or a 1-D array: shape theta.shape[:-1] + sigma.shape + (n,).
+
+        The m+1 orders go through one contraction over the angles, and the
+        sum in sigma is taken by Horner's rule.
+        """
+        stacked = np.stack([a.coeffs for a in self.coeffs], axis=-2)
+        a = np.moveaxis(evaluate_coeffs(stacked, self.mesh, theta), -2, 0)
+        sigma = np.asarray(sigma, dtype=float)
+        a = a.reshape(a.shape[:-1] + (1,) * sigma.ndim + a.shape[-1:])
+        s = sigma[..., None]
+        out = a[-1]
+        for a_k in a[-2::-1]:
+            out = out * s + a_k
         return out
 
     def save(self, prefix: str) -> None:

@@ -11,7 +11,9 @@ Four checks, all reusable on persisted artifacts:
    must sit near m+1 for an expansion truncated at order m.  The residual
    is taken on the map the branch was expanded on: P for the unstable
    branch, and P^{-1} for the stable branch, which is the unstable
-   expansion of the inverse map on the same plain parametrization.
+   expansion of the inverse map on the same plain parametrization.  The
+   probe points of a scan share one map call, so they share the
+   integrator's step sequence: one integration span per section.
 """
 
 from __future__ import annotations
@@ -97,26 +99,6 @@ def test_shifted(qpmap, phi: FourierField, gamma=None, tol: float = DEFAULT_TOL)
     return TestReport(3, "shifted", res, tol, res <= tol, {"gamma": gamma.tolist()})
 
 
-def _order_residual(exp: ManifoldExpansion, qpmap, theta: np.ndarray, sigma: float) -> float:
-    """Truncation residual of the invariance equation across the step from
-    the fibre at angle theta to the fibre at theta + rho.
-
-    The residual is ``F(W(s, sigma), s) - W(s + rho_F, lambda_F sigma)`` for
-    the map F the branch was expanded on: P from s = theta for the unstable
-    branch, and P^{-1} from s = theta + rho back to theta for the stable
-    one, where the forward form would bury the sigma^{m+1} signal under the
-    contraction by lambda.
-    """
-    inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
-    start = np.asarray(theta, dtype=float)
-    if inverse:
-        start = (start - rho_F) % 1.0
-    x = exp.evaluate(start, sigma)
-    img = qpmap.images(x[None], start[None], inverse=inverse)[0]
-    target = exp.evaluate((start + rho_F) % 1.0, lam_F * sigma)
-    return float(np.linalg.norm(img - target))
-
-
 def test_order(
     exp: ManifoldExpansion,
     qpmap,
@@ -125,18 +107,34 @@ def test_order(
 ) -> TestReport:
     """Test 4: the two-point slope log2(eps(sigma)/eps(sigma/2)) near m+1.
 
-    Scans sigma1 down one decade; a candidate whose residuals sit at the
-    round-off floor is flagged as cancellation and skipped.
+    eps(sigma) is the truncation residual of the invariance equation across
+    the step from the fibre at angle theta to the fibre at theta + rho:
+    ``F(W(s, sigma), s) - W(s + rho_F, lambda_F sigma)`` for the map F the
+    branch was expanded on, P from s = theta for the unstable branch, and
+    P^{-1} from s = theta + rho back to theta for the stable one, where the
+    forward form would bury the sigma^{m+1} signal under the contraction by
+    lambda.  Scans sigma1 down one decade; all 18 probe points (each sigma
+    and its half) go through the map in one call.  A candidate whose
+    residuals sit at the round-off floor is flagged as cancellation and
+    skipped.
     """
     m = exp.order
     if theta is None:
         theta = np.zeros(exp.mesh.d)
     expected = m + 1
+    inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
+    start = np.asarray(theta, dtype=float)
+    if inverse:
+        start = (start - rho_F) % 1.0
+    scan = sigma1 * 10.0 ** (-np.arange(9) / 4.0)
+    sigmas = np.concatenate([scan, scan / 2.0])
+    x = exp.evaluate(start, sigmas)
+    img = qpmap.images(x, np.tile(start, (len(sigmas), 1)), inverse=inverse)
+    target = exp.evaluate((start + rho_F) % 1.0, lam_F * sigmas)
+    eps = np.linalg.norm(img - target, axis=-1)
     tried = []
     best = None
-    for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
-        e1 = _order_residual(exp, qpmap, theta, sigma)
-        e2 = _order_residual(exp, qpmap, theta, sigma / 2.0)
+    for sigma, e1, e2 in zip(scan, eps[: len(scan)], eps[len(scan) :]):
         if e1 < _ROUND_OFF_FLOOR or e2 < _ROUND_OFF_FLOOR:
             tried.append({"sigma": float(sigma), "ratio": None, "note": "round-off"})
             continue

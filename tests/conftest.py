@@ -12,6 +12,7 @@ from qptori import (
     run_newton,
 )
 from qptori.flowmap import section_map
+from qptori.manifold import _direction
 
 
 def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
@@ -86,3 +87,35 @@ def lift_spectral_errors(lifted, single, P, npoints=5):
     direct = section_map(PoincareSpec(P.field, tol=P.tol), 1, x, thetas)
     comp_err = float(np.sqrt(((comp - direct) ** 2).sum(-1)).max())
     return eig_err, comp_err
+
+
+def single_point_order_reading(exp, qpmap, sigma1=1e-2):
+    """Test 4's reading at theta = 0 with every probe point flowed alone.
+
+    The reference for ``verify.test_order``, which flows all probe points in
+    one map call: here W is the power sum of the coefficient fields at one
+    point, each residual has its own single-point map call, and the scan
+    and its candidate rule are the same.
+    """
+    inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
+    start = np.zeros(exp.mesh.d)
+    if inverse:
+        start = (start - rho_F) % 1.0
+
+    def w(theta, sigma):
+        return sum(sigma**k * a.evaluate(theta) for k, a in enumerate(exp.coeffs))
+
+    def residual(sigma):
+        img = qpmap.images(w(start, sigma)[None], start[None], inverse=inverse)[0]
+        return np.linalg.norm(img - w((start + rho_F) % 1.0, lam_F * sigma))
+
+    expected = exp.order + 1
+    best = None
+    for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
+        e1, e2 = residual(sigma), residual(sigma / 2.0)
+        if min(e1, e2) < 1e-13:
+            continue
+        ratio = np.log2(e1 / e2)
+        if best is None or abs(ratio - expected) < abs(best - expected):
+            best = ratio
+    return best

@@ -420,6 +420,8 @@ class TestSliceCommand:
             ["--axis", "0"],
             ["--fixed", "0.1,0.2,0.3"],
             ["--fixed", "abc"],
+            ["--fixed", "nan"],
+            ["--fixed", "inf"],
             ["--count", "-3"],
             ["--axis", "q"],
         ],
@@ -428,6 +430,8 @@ class TestSliceCommand:
             "axis-0",
             "three-fixed",
             "fixed-not-a-number",
+            "fixed-nan",
+            "fixed-inf",
             "negative-count",
             "axis-not-a-number",
         ],

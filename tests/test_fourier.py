@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,67 @@ class TestEvaluate:
         )
         vals = f.evaluate(mesh.grid())
         assert np.abs(vals - f.values.reshape(mesh.M, 2)).max() < 1e-13
+
+    @staticmethod
+    def _direct_sum(f, theta):
+        """Off-grid values as one phase matrix over all stored modes."""
+        theta = np.atleast_2d(theta)
+        freqs = f.mesh.freqs().reshape(-1, f.mesh.d)
+        w = np.ones(f.mesh.cshape)
+        w[..., 1:] = 2.0
+        phase = np.exp(2j * np.pi * theta @ freqs.T)  # (npts, prod(cshape))
+        return ((phase * w.ravel()) @ f.coeffs.reshape(-1, f.n)).real / f.mesh.M
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (1,), (5, 1), (1, 9), (3, 1, 5), (5, 3, 7), (3, 5, 1, 3), (5, 3, 3, 5)]
+    )
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_direct_sum(self, shape, n):
+        mesh = MeshSpec(shape)
+        rng = np.random.default_rng(sum(shape) + n)
+        f = FourierField.from_values(mesh, rng.standard_normal(shape + (n,)))
+        theta = rng.uniform(-0.5, 1.5, (23, mesh.d))
+        vals = f.evaluate(theta)
+        assert vals.shape == (23, n)
+        assert np.abs(vals - self._direct_sum(f, theta)).max() < 1e-13
+        assert np.abs(f.evaluate(theta[4]) - vals[4]).max() < 1e-13
+        grid = f.evaluate(mesh.grid())
+        assert np.abs(grid - f.values.reshape(mesh.M, n)).max() < 1e-13
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_line_equals_pointwise(self, axis):
+        # a line of angles contracts its fixed axes once for all angles; a
+        # line along the last axis keeps the pointwise axis order, bitwise
+        mesh = MeshSpec((5, 7, 9))
+        f = FourierField.from_values(
+            mesh, np.random.default_rng(6).standard_normal(mesh.shape + (2,))
+        )
+        line = np.tile([0.37, 0.81, 0.13], (33, 1))
+        line[:, axis] = np.linspace(0.0, 1.0, 33, endpoint=False)
+        vals = f.evaluate(line)
+        points = np.array([f.evaluate(theta) for theta in line])
+        if axis == mesh.d - 1:
+            assert np.array_equal(vals, points)
+        assert np.abs(vals - points).max() < 1e-14
+        assert np.abs(vals - self._direct_sum(f, line)).max() < 1e-13
+
+    def test_memory_is_coefficient_sized(self):
+        # no (npts x prod(cshape)) phase matrix, which would take 24 times
+        # the coefficients here: two coefficient-sized partial sums and
+        # numpy's fixed-size ufunc buffers
+        mesh = MeshSpec((15, 15, 15))
+        f = FourierField.from_values(
+            mesh, np.random.default_rng(10).standard_normal(mesh.shape + (3,))
+        )
+        theta = np.random.default_rng(11).uniform(0.0, 1.0, (33, 3))
+        f.evaluate(theta)  # caches the frequency tables
+        tracemalloc.start()
+        try:
+            f.evaluate(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * f.coeffs.nbytes
 
     def test_tail_decays_with_mesh(self):
         def fn(theta):

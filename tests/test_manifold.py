@@ -18,7 +18,7 @@ from qptori.multishoot import LiftedMap
 from qptori.torus import NewtonConfig, run_newton, solve_cohomological
 from qptori.verify import test_order, torus_suite
 
-from conftest import newton_seed, pendulum_setup
+from conftest import newton_seed, pendulum_setup, single_point_order_reading
 
 # the imported accuracy check is a library function, not a pytest case
 test_order.__test__ = False
@@ -132,6 +132,21 @@ class TestExpansions:
         target = exp.evaluate((theta + sol.rho) % 1.0, exp.lam * sigma)
         assert np.linalg.norm(img - target) < 1e-10
 
+    def test_evaluate_sigma_vector(self, d1_manifolds):
+        # one contraction and Horner's rule over a sigma vector and a batch of
+        # angles give the per-point, per-sigma power sum to round-off
+        for exp in d1_manifolds:
+            thetas = np.array([[0.0], [0.3], [0.77]])
+            sigmas = np.linspace(-1.0, 1.0, 9)
+            values = exp.evaluate(thetas, sigmas)
+            assert values.shape == (3, 9, 2)
+            assert exp.evaluate(thetas[1], sigmas).shape == (9, 2)
+            for theta, row in zip(thetas, values):
+                for sigma, w in zip(sigmas, row):
+                    ref = sum(sigma**k * a.evaluate(theta) for k, a in enumerate(exp.coeffs))
+                    assert np.abs(w - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+                    assert np.array_equal(exp.evaluate(theta, sigma), w)
+
     def test_reversibility_relates_branches(self):
         # for the unforced pendulum, (x, y) -> (x, -y) with time reversal
         # maps the unstable manifold of (pi, 0) onto the stable one; the two
@@ -244,6 +259,15 @@ class TestOtherField:
         *_, torus_tests, order_tests, _ = damped_run
         for t in torus_tests + order_tests:
             assert t.passed, str(t)
+
+    def test_order_reading_matches_single_points(self, damped_run):
+        # flowing the 18 probe points in one call shares the integrator's
+        # steps among them; the reading stays that of one point at a time
+        field, sol, branches, *_ = damped_run
+        qpmap = LiftedMap(PoincareSpec(field))
+        for exp in branches:
+            batched = test_order(exp, qpmap).measured
+            assert abs(batched - single_point_order_reading(exp, qpmap)) <= 0.01, exp.branch
 
     def test_order_errors(self, damped_run):
         _, _, branches, *_ = damped_run

@@ -12,6 +12,8 @@ from qptori.verify import (
     torus_suite,
 )
 
+from conftest import single_point_order_reading
+
 # pytest would otherwise try to collect the imported checks as test functions
 test_invariance.__test__ = False
 test_order.__test__ = False
@@ -194,3 +196,27 @@ class TestOrder:
         rep = test_order(exp, qpmap)
         assert rep.passed
         assert abs(rep.measured - 5.0) <= 0.5
+
+    @pytest.mark.parametrize("branch", ["unstable", "stable"])
+    def test_one_span_per_section(self, d1_torus, monkeypatch, branch):
+        # all 18 probe points go through one map call: one integration span
+        # per section, and the reading of one point at a time
+        from qptori import flowmap
+        from qptori.manifold import stable_expansion, unstable_expansion
+
+        _, qpmap, sol = d1_torus
+        expand = unstable_expansion if branch == "unstable" else stable_expansion
+        exp = expand(sol, qpmap, m=4)
+        batches = []
+        integrate_span = flowmap.integrate_span
+
+        def counting(field, y0, *args, **kwargs):
+            batches.append(y0.shape[0])
+            return integrate_span(field, y0, *args, **kwargs)
+
+        monkeypatch.setattr(flowmap, "integrate_span", counting)
+        rep = test_order(exp, qpmap)
+        assert batches == [18] * qpmap.r
+        monkeypatch.undo()
+        assert rep.passed
+        assert abs(rep.measured - single_point_order_reading(exp, qpmap)) <= 0.01

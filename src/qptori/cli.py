@@ -65,6 +65,15 @@ def _words(cast):
     return lambda text: tuple(cast(word) for word in text.split())
 
 
+def _scaling(text: str) -> str | float:
+    if text == "auto":
+        return text
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"scaling must be auto or a positive number, got {text!r}")
+    return value
+
+
 # Every accepted (section, key), as configparser spells it (keys lower-case):
 # the RunConfig field the value sets, or None for a parameter of the
 # pendulum (passed to ``pendulum_field`` under the key's name), and the
@@ -81,7 +90,7 @@ _KEYS = {
     ("integrator", "tol"): ("integrator_tol", float),
     ("manifold", "order"): ("manifold_order", int),
     ("manifold", "branches"): ("branches", _words(str)),
-    ("manifold", "scaling"): ("scaling", str),
+    ("manifold", "scaling"): ("scaling", _scaling),
     ("run", "sections"): ("sections", int),
     ("run", "threads"): ("threads", int),
     ("run", "test_tol"): ("test_tol", float),
@@ -98,7 +107,7 @@ class RunConfig:
     integrator_tol: float = 1e-14
     manifold_order: int = 6
     branches: tuple = ("unstable", "stable")
-    scaling: str = "auto"
+    scaling: str | float = "auto"
     sections: int = 1
     threads: int = 1
     test_tol: float = 1e-10
@@ -134,13 +143,6 @@ class RunConfig:
         for branch in self.branches:
             if branch not in ("unstable", "stable"):
                 raise ValueError(f"unknown branch {branch!r} (use unstable and/or stable)")
-        if self.scaling != "auto":
-            try:
-                ok = 0.0 < float(self.scaling) < np.inf
-            except ValueError:
-                ok = False
-            if not ok:
-                raise ValueError(f"scaling must be auto or a positive number, got {self.scaling!r}")
 
     @classmethod
     def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
@@ -195,6 +197,19 @@ class _Log:
         self.path.write_text("\n".join(self.lines) + "\n")
 
 
+def _timing(t0: float) -> dict:
+    """The wall time since ``t0``, the worker count and the phase profile of a run report."""
+    wall = time.perf_counter() - t0
+    return {
+        "wall_time": wall,
+        "workers": parallel.get_workers(),
+        "profile": {
+            "seconds": dict(parallel.profile.seconds),
+            "map_eval_fraction": parallel.profile.fraction("map_eval", wall),
+        },
+    }
+
+
 def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
     with open(out / f"{name}_report.json", "w") as fh:
         json.dump(report, fh, indent=1, default=str)
@@ -202,11 +217,7 @@ def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
 
 
 def _check_artifact(
-    art: TorusSolution | ManifoldExpansion,
-    prefix: str,
-    mesh: MeshSpec,
-    lift: LiftedMap,
-    cfg: RunConfig,
+    art: TorusSolution | ManifoldExpansion, prefix: str, mesh: MeshSpec, lift: LiftedMap
 ) -> None:
     """Refuse a torus or manifold artifact whose mesh, state size or rotation
     (the section count and the frequencies) differ from the configured run."""
@@ -221,7 +232,7 @@ def _check_artifact(
     ):
         raise ArtifactError(
             f"artifact {prefix} (n={art.n}, rho={list(art.rho)}) does not match "
-            f"the configured map (n={lift.n}, rho={list(rho)}, sections={cfg.sections})"
+            f"the configured map (n={lift.n}, rho={list(rho)}, sections={lift.r})"
         )
 
 
@@ -230,7 +241,7 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     log = _Log(out / "torus.log")
     if resume:
         prev = TorusSolution.load(resume)
-        _check_artifact(prev, resume, mesh, lift, cfg)
+        _check_artifact(prev, resume, mesh, lift)
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
@@ -241,7 +252,7 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     t0 = time.perf_counter()
     sol = run_newton(lift, phi0, C0, B0, ncfg)
     tests = torus_suite(lift, sol.phi, cfg.test_tol)
-    wall = time.perf_counter() - t0  # Newton and the tests: every map_eval phase
+    timing = _timing(t0)  # Newton and the tests: every map_eval phase
     for i, h in enumerate(sol.history):
         log(f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}")
     eigs = np.sort(np.abs(sol.eigenvalues()))
@@ -249,20 +260,15 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     for t in tests:
         log(str(t))
     sol.save(str(out / "torus"))
-    frac = parallel.profile.fraction("map_eval", wall)
-    log(f"wall time {wall:.2f}s, map evaluation {100*frac:.1f}%, workers {parallel.get_workers()}")
+    wall, frac = timing["wall_time"], timing["profile"]["map_eval_fraction"]
+    log(f"wall time {wall:.2f}s, map evaluation {100*frac:.1f}%, workers {timing['workers']}")
     report = {
         "command": "torus",
         "model": cfg.model,
         "model_params": cfg.model_params,
         "mesh": list(cfg.mesh),
         "sections": cfg.sections,
-        "workers": parallel.get_workers(),
-        "wall_time": wall,
-        "profile": {
-            "seconds": dict(parallel.profile.seconds),
-            "map_eval_fraction": frac,
-        },
+        **timing,
         "solution": sol.report(),
         "tests": [t.as_dict() for t in tests],
     }
@@ -272,10 +278,10 @@ def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
     return 0
 
 
-def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str):
+def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str | float):
     fn = unstable_expansion if branch == "unstable" else stable_expansion
     if scaling != "auto":
-        return fn(sol, lift, m, float(scaling)), None
+        return fn(sol, lift, m, scaling), None
     exp = fn(sol, lift, m, 1.0)
     radius = estimate_radius(exp)
     if np.isfinite(radius) and not 0.1 <= radius <= 10.0:
@@ -283,11 +289,16 @@ def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str):
     return exp, radius
 
 
+def _manifold_tests(exp: ManifoldExpansion, lift: LiftedMap, tol: float) -> list:
+    """Tests 2 and 4 on a manifold expansion."""
+    return [test_tail(exp.coeffs[-1], tol), test_order(exp, lift)]
+
+
 def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
     mesh, lift = _build_map(cfg)
     prefix = resume or str(out / "torus")
     sol = TorusSolution.load(prefix)
-    _check_artifact(sol, prefix, mesh, lift, cfg)
+    _check_artifact(sol, prefix, mesh, lift)
     log = _Log(out / "manifold.log")
     parallel.profile.reset()
     t0 = time.perf_counter()
@@ -302,10 +313,7 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
         log(f"{branch}: lambda {exp.lam:.15e}, scaling {exp.scaling}")
         for k, err in enumerate(exp.order_errors):
             log(f"  order {k}: relative invariance error {err:.3e}")
-        tests = [
-            test_tail(exp.coeffs[-1], cfg.test_tol),
-            test_order(exp, lift),
-        ]
+        tests = _manifold_tests(exp, lift, cfg.test_tol)
         for t in tests:
             log(f"  {t}")
         name = str(out / f"manifold_{branch}")
@@ -324,14 +332,8 @@ def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
             "transport_tails": exp.transport_tails,  # JSON keys: the orders as strings
             "tests": [t.as_dict() for t in tests],
         }
-    wall = time.perf_counter() - t0
-    report["wall_time"] = wall
-    report["workers"] = parallel.get_workers()
-    report["profile"] = {
-        "seconds": dict(parallel.profile.seconds),
-        "map_eval_fraction": parallel.profile.fraction("map_eval", wall),
-    }
-    log(f"wall time {wall:.2f}s")
+    report.update(_timing(t0))
+    log(f"wall time {report['wall_time']:.2f}s")
     _finish(out, "manifold", report, log)
     return 0 if ok else 1
 
@@ -374,24 +376,28 @@ def _slice_manifold_csv(exp: ManifoldExpansion, path, thetas: np.ndarray, axis: 
                 fh.write(",".join(row) + "\n")
 
 
+def _artifact_kind(prefix: str) -> str:
+    """``torus`` or ``manifold``, by the files found at the artifact prefix."""
+    if Path(f"{prefix}.phi.bin").exists():
+        return "torus"
+    if Path(f"{prefix}.a0.bin").exists():
+        return "manifold"
+    raise ArtifactError(f"no artifact found at prefix {prefix}")
+
+
 def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
     mesh, lift = _build_map(cfg)
     log = _Log(out / "verify.log")
     reports = []
     ok = True
     for prefix in artifacts:
-        if Path(f"{prefix}.phi.bin").exists():
-            sol = TorusSolution.load(prefix)
-            _check_artifact(sol, prefix, mesh, lift, cfg)
-            tests = torus_suite(lift, sol.phi, cfg.test_tol)
-            kind = "torus"
-        elif Path(f"{prefix}.a0.bin").exists():
-            exp = ManifoldExpansion.load(prefix)
-            _check_artifact(exp, prefix, mesh, lift, cfg)
-            tests = [test_tail(exp.coeffs[-1], cfg.test_tol), test_order(exp, lift)]
-            kind = "manifold"
+        kind = _artifact_kind(prefix)
+        art = (TorusSolution if kind == "torus" else ManifoldExpansion).load(prefix)
+        _check_artifact(art, prefix, mesh, lift)
+        if kind == "torus":
+            tests = torus_suite(lift, art.phi, cfg.test_tol)
         else:
-            raise ArtifactError(f"no artifact found at prefix {prefix}")
+            tests = _manifold_tests(art, lift, cfg.test_tol)
         log(f"{kind} {prefix}:")
         for t in tests:
             log(f"  {t}")
@@ -407,16 +413,13 @@ def cmd_slice(args) -> int:
         fixed = [float(v) for v in args.fixed.split(",")] if args.fixed else []
     except ValueError as exc:
         raise ArtifactError(f"--fixed takes comma-separated numbers: {exc}") from exc
-    if Path(f"{prefix}.phi.bin").exists():
+    if _artifact_kind(prefix) == "torus":
         try:
-            phi = FourierField.load(f"{prefix}.phi.bin")
+            art, write = FourierField.load(f"{prefix}.phi.bin"), _slice_torus_csv
         except (OSError, ValueError) as exc:
             raise ArtifactError(f"cannot read torus artifact {prefix}: {exc}") from exc
-        art, write = phi, _slice_torus_csv
-    elif Path(f"{prefix}.a0.bin").exists():
-        art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
     else:
-        raise ArtifactError(f"no artifact found at prefix {prefix}")
+        art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
     thetas = _slice_thetas(art.mesh, args.axis, fixed, args.count)
     try:
         write(art, args.output, thetas, args.axis)
@@ -442,18 +445,19 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, resume=True):
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument(
             "--threads", type=int, default=None, help="worker count; overrides [run] threads"
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--resume", default=None, help="artifact prefix of a previous run")
+        if resume:
+            p.add_argument("--resume", default=None, help="artifact prefix of a previous run")
 
     common(sub.add_parser("torus", help="compute the torus and Floquet data"))
     common(sub.add_parser("manifold", help="expand the invariant manifolds"))
     pv = sub.add_parser("verify", help="re-run the accuracy tests on artifacts")
-    common(pv)
+    common(pv, resume=False)
     pv.add_argument("artifacts", nargs="+", help="artifact prefixes")
     ps = sub.add_parser("slice", help="tabulate a torus or manifold slice as CSV")
     ps.add_argument("artifact", help="artifact prefix")

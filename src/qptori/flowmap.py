@@ -48,7 +48,7 @@ import numpy as np
 
 from . import jets
 from .errors import IntegrationError
-from .parallel import chunk_slices, profile, run_chunks
+from .parallel import profile, run_chunks
 
 # the 12 stages of DOP853 and its two error estimators (module docstring);
 # the dense-output stages and coefficients are left out
@@ -166,6 +166,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ERR_EXPONENT = -1.0 / 8.0
 _CHUNK = 8192  # grid points per integration chunk and pool task
+_MAX_STEPS = 100000  # step attempts per span before the integrator gives up
 
 
 class QPVectorField:
@@ -217,7 +218,6 @@ def integrate_span(
     t_span: float,
     spec: jets.JetSpec,
     tol: float,
-    max_steps: int = 100000,
 ) -> np.ndarray:
     """Advance a batch of (jet) states over a signed time span.
 
@@ -254,7 +254,7 @@ def integrate_span(
     abs_y = np.abs(y)
     npts = y.size
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if direction * (t + h) > direction * t_span:
             h = t_span - t  # clamp the final step
         if abs(h) < 1e-15 * max(1.0, abs(t_span)):
@@ -300,7 +300,7 @@ def integrate_span(
         else:
             factor = max(_MIN_FACTOR, _SAFETY * err_norm**_ERR_EXPONENT)
         h *= factor
-    raise IntegrationError(f"no convergence in {max_steps} steps", t_reached=t)
+    raise IntegrationError(f"no convergence in {_MAX_STEPS} steps", t_reached=t)
 
 
 @dataclass(frozen=True)
@@ -318,14 +318,6 @@ class PoincareSpec:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
     @property
-    def n(self) -> int:
-        return self.field.n
-
-    @property
-    def d(self) -> int:
-        return self.field.d
-
-    @property
     def rho_section(self) -> np.ndarray:
         """Angle advance of one section map, in turns.
 
@@ -335,18 +327,14 @@ class PoincareSpec:
         """
         return (self.field.omega[1:] / self.field.omega[0] / self.r) % 1.0
 
-    @property
-    def delta(self) -> float:
-        return self.field.delta
-
 
 def _advance_chunk(payload):
     P, x, thetas, frac0, frac1, spec = payload
     y0 = x if x.ndim == 3 else x[..., None]
-    theta_start = np.empty((x.shape[0], P.d + 1))
+    theta_start = np.empty((x.shape[0], P.field.d + 1))
     theta_start[:, 0] = frac0
     theta_start[:, 1:] = thetas
-    span = (frac1 - frac0) * P.delta
+    span = (frac1 - frac0) * P.field.delta
     y1 = integrate_span(P.field, y0, theta_start, span, spec, P.tol)
     return y1 if x.ndim == 3 else y1[..., 0]
 
@@ -370,7 +358,8 @@ def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: boo
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     payloads = [
-        (P, x[s], thetas[s], frac0, frac1, spec) for s in chunk_slices(x.shape[0], _CHUNK)
+        (P, x[i : i + _CHUNK], thetas[i : i + _CHUNK], frac0, frac1, spec)
+        for i in range(0, x.shape[0], _CHUNK)
     ]
     with profile.phase("map_eval"):
         parts = run_chunks(_advance_chunk, payloads)

@@ -165,14 +165,6 @@ def evaluate_coeffs(coeffs: np.ndarray, mesh: MeshSpec, theta) -> np.ndarray:
     return (work.real / mesh.M).reshape(theta.shape[:-1] + coeffs.shape[d:])
 
 
-def shift_coeffs(coeffs: np.ndarray, mesh: MeshSpec, alpha) -> np.ndarray:
-    """Coefficients of theta -> x(theta + alpha), alpha in turns."""
-    alpha = np.asarray(alpha, dtype=float)
-    phase = np.exp(2j * np.pi * (mesh.freqs() @ alpha))
-    extra = coeffs.ndim - mesh.d
-    return coeffs * phase.reshape(phase.shape + (1,) * extra)
-
-
 class FourierField:
     """A vector-valued truncated real Fourier series on T^d.
 
@@ -215,7 +207,8 @@ class FourierField:
 
     def shift(self, alpha) -> "FourierField":
         """The field theta -> x(theta + alpha), alpha in turns."""
-        return FourierField(self.mesh, self.n, coeffs=shift_coeffs(self.coeffs, self.mesh, alpha))
+        phase = np.exp(2j * np.pi * (self.mesh.freqs() @ np.asarray(alpha, dtype=float)))
+        return FourierField(self.mesh, self.n, coeffs=self.coeffs * phase[..., None])
 
     def evaluate(self, theta) -> np.ndarray:
         """Values at angles theta (turns), shape (d,) or (npts, d): (n,) or (npts, n)."""
@@ -259,7 +252,8 @@ class FourierField:
     def load(cls, path) -> "FourierField":
         """Read a file written by ``save``.  The header's d and n are checked
         against the file's length before anything of that size is read, so a
-        corrupt header raises ValueError instead of a huge allocation."""
+        corrupt header raises ValueError instead of a huge allocation; a
+        non-finite coefficient raises ValueError too."""
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             magic = fh.read(len(_MAGIC))
@@ -281,6 +275,8 @@ class FourierField:
                     f"{path}: {payload} coefficient bytes do not fit mesh {mesh.shape}, n={n}"
                 )
             raw = np.frombuffer(fh.read(), dtype="<c16")
+        if not np.isfinite(raw).all():
+            raise ValueError(f"{path}: non-finite coefficients")
         coeffs = raw.reshape(mesh.cshape + (n,)).astype(complex)
         return cls(mesh, n, coeffs=coeffs)
 

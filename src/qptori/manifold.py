@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArtifactError, QptoriError, SpectrumError
 from .fourier import FourierField, MeshSpec, evaluate_coeffs
-from .torus import TorusSolution, solve_cohomological
+from .torus import TorusSolution, _point_norm_max, solve_cohomological
 
 _TAIL_WARN = 1e-10
 _TAIL_FATAL = 1e-6
@@ -134,6 +134,17 @@ class ManifoldExpansion:
                 f"manifold artifact {prefix}: v of length {exp.v.size} or rho of length "
                 f"{exp.rho.size} does not fit n={exp.n}, d={exp.mesh.d}"
             )
+        if not (np.isfinite(exp.v).all() and 0.0 < exp.scaling < np.inf):
+            raise ArtifactError(
+                f"manifold artifact {prefix}: v is not finite, or scaling {exp.scaling} "
+                "is not positive and finite"
+            )
+        lam = abs(exp.lam)
+        if not (1.0 < lam < np.inf if exp.branch == "unstable" else 0.0 < lam < 1.0):
+            raise ArtifactError(
+                f"manifold artifact {prefix}: lambda {exp.lam} is not finite or not on "
+                f"the {exp.branch} side of the unit circle"
+            )
         return exp
 
 
@@ -227,9 +238,7 @@ def _expansion_errors(qpmap, coeffs, branch: str, lam: float, rho) -> list[float
     errors = []
     for i in range(m + 1):
         target = (lam_F**i * coeffs[i].shift(rho_F).values).reshape(mesh.M, n)
-        scale = max(1.0, float(np.sqrt((target * target).sum(-1)).max()))
-        diff = out[i] - target
-        errors.append(float(np.sqrt((diff * diff).sum(-1)).max()) / scale)
+        errors.append(_point_norm_max(out[i] - target) / max(1.0, _point_norm_max(target)))
     return errors
 
 

@@ -39,12 +39,12 @@ class LiftedMap:
     def __init__(self, P: PoincareSpec):
         self.P = P
         self.r = P.r
-        self.n = P.n * P.r
-        self.d = P.d
+        self.n = P.field.n * P.r
+        self.d = P.field.d
         self.rho = P.rho_section
 
     def _block(self, j: int) -> slice:
-        n = self.P.n
+        n = self.P.field.n
         return slice((j - 1) * n, j * n)
 
     def _routes(self, inverse: bool):

@@ -45,11 +45,6 @@ def get_workers() -> int:
     return _workers
 
 
-def chunk_slices(total: int, chunk: int) -> list[slice]:
-    chunk = max(1, int(chunk))
-    return [slice(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-
-
 def run_chunks(fn, payloads: list) -> list:
     """Apply a picklable function to every payload, in order."""
     if _workers == 1 or _pool is None or len(payloads) < 2:

@@ -70,30 +70,28 @@ class TorusSolution:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.B)
 
-    def report(self) -> dict:
+    def _meta(self) -> dict:
+        """The fields of the artifact's JSON, which the run report also carries."""
         return {
-            "rho": list(map(float, self.rho)),
-            "B": self.B.tolist(),
-            "eigenvalues": [
-                float(v.real) if abs(v.imag) < 1e-12 else str(v)
-                for v in sorted(self.eigenvalues(), key=lambda v: (v.real, v.imag))
-            ],
-            "history": self.history,
-            "monitor_flags": [list(map(int, k)) for k in self.monitor_flags],
-        }
-
-    def save(self, prefix: str) -> None:
-        self.phi.save(f"{prefix}.phi.bin")
-        self.C.as_field().save(f"{prefix}.C.bin")
-        meta = {
             "n": self.n,
             "rho": list(map(float, self.rho)),
             "B": self.B.tolist(),
             "history": self.history,
             "monitor_flags": [list(map(int, k)) for k in self.monitor_flags],
         }
+
+    def report(self) -> dict:
+        eigs = sorted(self.eigenvalues(), key=lambda v: (v.real, v.imag))
+        return {
+            **self._meta(),
+            "eigenvalues": [float(v.real) if abs(v.imag) < 1e-12 else str(v) for v in eigs],
+        }
+
+    def save(self, prefix: str) -> None:
+        self.phi.save(f"{prefix}.phi.bin")
+        self.C.as_field().save(f"{prefix}.C.bin")
         with open(f"{prefix}.json", "w") as fh:
-            json.dump(meta, fh, indent=1)
+            json.dump(self._meta(), fh, indent=1)
 
     @classmethod
     def load(cls, prefix: str) -> "TorusSolution":
@@ -119,6 +117,8 @@ class TorusSolution:
                 f"torus artifact {prefix}: B of shape {B.shape} or rho of length {rho.size} "
                 f"does not fit n={n}, d={phi.mesh.d}"
             )
+        if not (np.isfinite(B).all() and np.isfinite(rho).all()):
+            raise ArtifactError(f"torus artifact {prefix}: B or rho holds a non-finite value")
         return cls(
             phi=phi,
             C=FourierMatrix.from_field(cfield, n),
@@ -236,23 +236,11 @@ def _point_norm_max(v: np.ndarray) -> float:
     return float(np.sqrt((v * v).sum(axis=-1)).max())
 
 
-def _invariance_error(phi: FourierField, images: np.ndarray, rho) -> np.ndarray:
-    """phi(theta+rho) - P(phi(theta), theta) from the images, shape (M, n)."""
-    return phi.shift(rho).values.reshape(phi.mesh.M, phi.n) - images
-
-
 def _reducibility_error(
     jacs_grid: np.ndarray, C: FourierMatrix, C_inv_shift: FourierMatrix, B: np.ndarray
 ) -> np.ndarray:
     """C^{-1}(theta+rho) DP C(theta) - B on the mesh, shape mesh + (n, n)."""
     return C_inv_shift.values @ jacs_grid @ C.values - B
-
-
-def invariance_residual(qpmap, phi: FourierField) -> float:
-    """Max-over-mesh Euclidean norm of phi(theta+rho) - P(phi(theta), theta)."""
-    mesh = phi.mesh
-    images = qpmap.images(phi.values.reshape(mesh.M, phi.n), mesh.grid())
-    return _point_norm_max(_invariance_error(phi, images, qpmap.rho))
 
 
 # -- Newton steps ----------------------------------------------------------
@@ -334,7 +322,8 @@ def run_newton(
             C, B = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
             C_inv_shift = C.inv().shift(rho)
 
-        y = _invariance_error(phi, images, rho)
+        # the invariance error phi(theta+rho) - P(phi(theta), theta)
+        y = phi.shift(rho).values.reshape(mesh.M, n) - images
         res_y = _point_norm_max(y)
         res_q = _point_norm_max(
             _reducibility_error(jacs_grid, C, C_inv_shift, B).reshape(mesh.shape + (n * n,))

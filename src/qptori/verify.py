@@ -24,7 +24,7 @@ import numpy as np
 
 from .fourier import FourierField
 from .manifold import ManifoldExpansion, _direction
-from .torus import _point_norm_max, invariance_residual
+from .torus import _point_norm_max
 
 DEFAULT_TOL = 1e-10
 _ORDER_BAND = 0.5  # test 4 passes when its slope is within this of m + 1
@@ -61,9 +61,20 @@ class TestReport:
         return f"test {self.test_id} ({self.name}): {self.measured:.3e} vs {self.tol:.1e} [{flag}]"
 
 
+def _shifted_residual(qpmap, phi: FourierField, gamma: np.ndarray) -> float:
+    """Max over the mesh angles theta of the Euclidean norm of
+    phi(s+rho) - P(phi(s), s) at s = theta + gamma, tests 1 (gamma = 0) and 3.
+    At gamma = 0 the stored grid values themselves are flowed."""
+    mesh = phi.mesh
+    rho = np.asarray(qpmap.rho, dtype=float)
+    x = phi.shift(gamma) if gamma.any() else phi
+    images = qpmap.images(x.values.reshape(mesh.M, phi.n), (mesh.grid() + gamma) % 1.0)
+    return _point_norm_max(phi.shift(gamma + rho).values.reshape(mesh.M, phi.n) - images)
+
+
 def test_invariance(qpmap, phi: FourierField, tol: float = DEFAULT_TOL) -> TestReport:
     """Test 1: max-over-mesh Euclidean residual of phi(theta+rho) = P(phi(theta), theta)."""
-    res = invariance_residual(qpmap, phi)
+    res = _shifted_residual(qpmap, phi, np.zeros(phi.mesh.d))
     return TestReport(1, "invariance", res, tol, res <= tol, {"mesh": list(phi.mesh.shape)})
 
 
@@ -86,29 +97,18 @@ def test_shifted(qpmap, phi: FourierField, gamma=None, tol: float = DEFAULT_TOL)
     The shifted values come from the trigonometric series (not the stored
     samples), so an under-resolved or aliased solution fails here.
     """
-    mesh = phi.mesh
     if gamma is None:
-        gamma = default_gamma(mesh.d)
+        gamma = default_gamma(phi.mesh.d)
     gamma = np.asarray(gamma, dtype=float)
-    rho = np.asarray(qpmap.rho, dtype=float)
-    shifted = phi.shift(gamma)
-    thetas = (mesh.grid() + gamma) % 1.0
-    images = qpmap.images(shifted.values.reshape(mesh.M, phi.n), thetas)
-    target = phi.shift(gamma + rho).values.reshape(mesh.M, phi.n)
-    res = _point_norm_max(target - images)
+    res = _shifted_residual(qpmap, phi, gamma)
     return TestReport(3, "shifted", res, tol, res <= tol, {"gamma": gamma.tolist()})
 
 
-def test_order(
-    exp: ManifoldExpansion,
-    qpmap,
-    theta=None,
-    sigma1: float = 1e-2,
-) -> TestReport:
+def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestReport:
     """Test 4: the two-point slope log2(eps(sigma)/eps(sigma/2)) near m+1.
 
     eps(sigma) is the truncation residual of the invariance equation across
-    the step from the fibre at angle theta to the fibre at theta + rho:
+    the step from the fibre at angle theta = 0 to the fibre at theta + rho:
     ``F(W(s, sigma), s) - W(s + rho_F, lambda_F sigma)`` for the map F the
     branch was expanded on, P from s = theta for the unstable branch, and
     P^{-1} from s = theta + rho back to theta for the stable one, where the
@@ -119,13 +119,10 @@ def test_order(
     skipped.
     """
     m = exp.order
-    if theta is None:
-        theta = np.zeros(exp.mesh.d)
+    theta = np.zeros(exp.mesh.d)
     expected = m + 1
     inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
-    start = np.asarray(theta, dtype=float)
-    if inverse:
-        start = (start - rho_F) % 1.0
+    start = (theta - rho_F) % 1.0 if inverse else theta
     scan = sigma1 * 10.0 ** (-np.arange(9) / 4.0)
     sigmas = np.concatenate([scan, scan / 2.0])
     x = exp.evaluate(start, sigmas)
@@ -150,7 +147,7 @@ def test_order(
         measured,
         _ORDER_BAND,
         passed,
-        {"expected": expected, "scan": tried, "theta": np.asarray(theta).tolist()},
+        {"expected": expected, "scan": tried, "theta": theta.tolist()},
     )
 
 

@@ -341,11 +341,49 @@ class TestVerifyCommand:
         )
         assert rc == 5
 
+    @pytest.mark.parametrize(
+        "name, suffixes, damaged",
+        [
+            ("torus", (".phi.bin", ".C.bin", ".json"), ".phi.bin"),
+            ("torus", (".phi.bin", ".C.bin", ".json"), ".C.bin"),
+            ("manifold_stable", (".json", ".a0.bin", ".a1.bin", ".a2.bin", ".a3.bin"), ".a2.bin"),
+        ],
+        ids=["torus-phi", "torus-C", "manifold-a2"],
+    )
+    def test_nan_coefficient_refused(self, run_dir, tmp_path, capsys, name, suffixes, damaged):
+        # one NaN coefficient is refused on load, not integrated or tabulated
+        out, config = run_dir
+        for suffix in suffixes:
+            shutil.copy(out / f"{name}{suffix}", tmp_path / f"{name}{suffix}")
+        path = tmp_path / f"{name}{damaged}"
+        path.write_bytes(_nan_coefficient(path.read_bytes()))
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(tmp_path / name)]
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite coefficients" in err
+
+    def test_resume_refused(self, run_dir, tmp_path, capsys):
+        # verify takes no seed: --resume is a usage error, not silently ignored
+        out, config = run_dir
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(out / "torus")]
+        assert cli.main(argv + ["--resume", str(out / "torus")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "verify_report.json").exists()
+
 
 def _patch_header(offset, value):
     """Overwrite one int64 of a coefficient file's header (d at byte 16, n at
     24, N_1 at 32)."""
     return lambda raw: raw[:offset] + struct.pack("<q", value) + raw[offset + 8 :]
+
+
+def _nan_coefficient(raw):
+    """Set the real part of a coefficient file's first coefficient to NaN."""
+    (d,) = struct.unpack("<q", raw[16:24])
+    start = 8 * (4 + d)  # magic, version, d, n, N_1..N_d
+    return raw[:start] + struct.pack("<d", np.nan) + raw[start + 8 :]
 
 
 class TestSliceCommand:
@@ -370,6 +408,7 @@ class TestSliceCommand:
             _patch_header(24, 10**12),
             _patch_header(32, 10**12 + 1),
             lambda raw: raw + bytes(16),
+            _nan_coefficient,
         ],
         ids=[
             "truncated-coefficients",
@@ -382,6 +421,7 @@ class TestSliceCommand:
             "n-huge",
             "mesh-huge",
             "trailing-bytes",
+            "nan-coefficient",
         ],
     )
     def test_corrupt_torus_artifact(self, run_dir, tmp_path, capsys, damage):
@@ -487,14 +527,36 @@ class TestCorruptMetadata:
             _n_against_phi,
             lambda meta, path: meta.update(B=np.eye(3).tolist()),
             lambda meta, path: meta.update(rho=[0.4, 0.2]),
+            lambda meta, path: meta["B"][0].__setitem__(0, np.nan),
+            lambda meta, path: meta.update(rho=[np.inf]),
         ],
-        ids=["no-n", "n-against-C", "n-against-phi", "B-not-n-by-n", "rho-length"],
+        ids=[
+            "no-n",
+            "n-against-C",
+            "n-against-phi",
+            "B-not-n-by-n",
+            "rho-length",
+            "B-nan",
+            "rho-inf",
+        ],
     )
     def test_torus(self, run_dir, tmp_path, capsys, damage):
         meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin", ".C.bin"))
         damage(meta, tmp_path)
         (tmp_path / "torus.json").write_text(json.dumps(meta))
         self._refused(run_dir, tmp_path, capsys, tmp_path / "torus", TorusSolution.load)
+
+    @pytest.mark.parametrize("command", ["torus", "manifold"])
+    def test_nan_floquet_matrix_seed_refused(self, run_dir, tmp_path, capsys, command):
+        # a NaN in B stops --resume with one error line, not a LinAlgError traceback
+        _, config = run_dir
+        meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin", ".C.bin"))
+        meta["B"][0][0] = np.nan
+        (tmp_path / "torus.json").write_text(json.dumps(meta))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--resume", str(tmp_path / "torus")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "damage",
@@ -506,6 +568,13 @@ class TestCorruptMetadata:
             lambda meta, path: meta.update(v=[1.0, 0.0, 0.0]),
             lambda meta, path: meta.update(rho=[0.4, 0.2]),
             lambda meta, path: meta.update(order=0),
+            lambda meta, path: meta.update({"lambda": np.nan}),
+            lambda meta, path: meta.update({"lambda": 2.0}),
+            lambda meta, path: meta.update({"lambda": 0.0}),
+            lambda meta, path: meta.update(scaling=np.inf),
+            lambda meta, path: meta.update(scaling=0.0),
+            lambda meta, path: meta.update(scaling=-1.0),
+            lambda meta, path: meta["v"].__setitem__(1, np.nan),
         ],
         ids=[
             "no-branch",
@@ -515,12 +584,27 @@ class TestCorruptMetadata:
             "v-length",
             "rho-length",
             "order-0",
+            "lambda-nan",
+            "lambda-outside-circle",
+            "lambda-0",
+            "scaling-inf",
+            "scaling-0",
+            "scaling-negative",
+            "v-nan",
         ],
     )
     def test_manifold(self, run_dir, tmp_path, capsys, damage):
         name = "manifold_stable"
         meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(4)])
         damage(meta, tmp_path)
+        (tmp_path / f"{name}.json").write_text(json.dumps(meta))
+        self._refused(run_dir, tmp_path, capsys, tmp_path / name, ManifoldExpansion.load)
+
+    def test_unstable_lambda_inside_circle(self, run_dir, tmp_path, capsys):
+        # an unstable branch whose multiplier contracts is refused, not tested
+        name = "manifold_unstable"
+        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(4)])
+        meta["lambda"] = 0.5
         (tmp_path / f"{name}.json").write_text(json.dumps(meta))
         self._refused(run_dir, tmp_path, capsys, tmp_path / name, ManifoldExpansion.load)
 

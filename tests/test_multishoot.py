@@ -88,7 +88,7 @@ class TestLiftedNewton:
         # each section torus, block j of the lifted phi, satisfies
         # P_j(phi_j(theta), .) = phi_{j+1}(theta + rho/r)
         P, lift, sol = r2_solution
-        mesh, n = sol.mesh, P.n
+        mesh, n = sol.mesh, P.field.n
         values = sol.phi.values.reshape(mesh.M, P.r * n)
         shifted = sol.phi.shift(lift.rho).values.reshape(mesh.M, P.r * n)
         for j in range(1, P.r + 1):
@@ -125,7 +125,7 @@ class TestLiftedManifold:
         # block j of the lifted eigenvector
         P, lift, sol = r2_solution
         mu, v = eigen_pick(sol.B, "unstable")
-        n, r = P.n, P.r
+        n, r = P.field.n, P.r
         for j in range(1, r + 1):
             blk = slice((j - 1) * n, j * n)
             nxt = slice((j % r) * n, (j % r) * n + n)
@@ -137,5 +137,5 @@ class TestLiftedManifold:
         # lifted order errors bound every section's
         P, lift, sol = r2_solution
         exp = unstable_expansion(sol, lift, m=3)
-        assert exp.n == P.r * P.n
+        assert exp.n == P.r * P.field.n
         assert max(exp.order_errors) <= 1e-10

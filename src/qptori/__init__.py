@@ -17,7 +17,7 @@ from .errors import (
     SpectrumError,
 )
 from .flowmap import PoincareSpec, QPVectorField
-from .fourier import FourierField, FourierMatrix, MeshSpec
+from .fourier import FourierField, MeshSpec
 from .jets import JetSpec
 from .manifold import ManifoldExpansion, stable_expansion, unstable_expansion
 from .models import PendulumParams, pendulum_field
@@ -36,7 +36,6 @@ __all__ = [
     "PoincareSpec",
     "QPVectorField",
     "FourierField",
-    "FourierMatrix",
     "MeshSpec",
     "JetSpec",
     "ManifoldExpansion",

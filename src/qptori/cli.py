@@ -8,7 +8,8 @@ forced pendulum; other fields run through the Python API.  Every command
 writes a machine-readable JSON report plus a human log into the output
 directory.  Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
 3 resonance, 4 unsupported spectrum, 5 unreadable or mismatched artifact,
-config or command line, 6 integration failure.
+config or command line, or an output that cannot be written, 6 integration
+failure.
 """
 
 from __future__ import annotations
@@ -421,10 +422,7 @@ def cmd_slice(args) -> int:
     else:
         art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
     thetas = _slice_thetas(art.mesh, args.axis, fixed, args.count)
-    try:
-        write(art, args.output, thetas, args.axis)
-    except OSError as exc:
-        raise ArtifactError(f"cannot write {args.output}: {exc.strerror}") from exc
+    write(art, args.output, thetas, args.axis)
     return 0
 
 
@@ -476,15 +474,15 @@ def main(argv=None) -> int:
             raise ArtifactError(f"--threads must be at least 1, got {threads}")
         parallel.set_workers(threads)
         out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ArtifactError(f"cannot create output directory {out}: {exc.strerror}") from exc
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "torus":
             return cmd_torus(cfg, out, args.resume)
         if args.command == "manifold":
             return cmd_manifold(cfg, out, args.resume)
         return cmd_verify(cfg, out, args.artifacts)
+    except OSError as exc:  # reads are refused where artifacts load: this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return ArtifactError.exit_code
     except QptoriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -281,39 +281,8 @@ class FourierField:
         return cls(mesh, n, coeffs=coeffs)
 
 
-class FourierMatrix:
-    """An n x n matrix of scalar Fourier series on one shared mesh.
-
-    Stored as grid values of shape mesh.shape + (n, n).
-    """
-
-    def __init__(self, mesh: MeshSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        n = values.shape[-1]
-        if values.shape != mesh.shape + (n, n):
-            raise ValueError(f"matrix values shape {values.shape} incompatible with {mesh.shape}")
-        self.mesh = mesh
-        self.n = n
-        self.values = values
-
-    @classmethod
-    def identity(cls, mesh: MeshSpec, n: int) -> "FourierMatrix":
-        vals = np.broadcast_to(np.eye(n), mesh.shape + (n, n)).copy()
-        return cls(mesh, vals)
-
-    def as_field(self) -> FourierField:
-        return FourierField.from_values(self.mesh, self.values.reshape(self.mesh.shape + (self.n**2,)))
-
-    @classmethod
-    def from_field(cls, field: FourierField, n: int) -> "FourierMatrix":
-        return cls(field.mesh, field.values.reshape(field.mesh.shape + (n, n)))
-
-    def shift(self, alpha) -> "FourierMatrix":
-        return FourierMatrix.from_field(self.as_field().shift(alpha), self.n)
-
-    def inv(self) -> "FourierMatrix":
-        return FourierMatrix(self.mesh, np.linalg.inv(self.values))
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """Pointwise matrix-vector product on the grid, vec shape mesh + (n,)."""
-        return np.einsum("...ij,...j->...i", self.values, vec)
+def shift_grid(values: np.ndarray, mesh: MeshSpec, alpha) -> np.ndarray:
+    """Grid values of theta -> x(theta + alpha), alpha in turns, for grid
+    values of shape mesh.shape + any trailing shape (an n x n matrix, say)."""
+    field = FourierField.from_values(mesh, values.reshape(mesh.shape + (-1,)))
+    return field.shift(alpha).values.reshape(values.shape)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, QptoriError, SpectrumError
-from .fourier import FourierField, MeshSpec, evaluate_coeffs
-from .torus import TorusSolution, _point_norm_max, solve_cohomological
+from .fourier import FourierField, MeshSpec, evaluate_coeffs, shift_grid
+from .torus import TorusSolution, _matvec, _point_norm_max, solve_cohomological
 
 _TAIL_WARN = 1e-10
 _TAIL_FATAL = 1e-6
@@ -102,6 +102,8 @@ class ManifoldExpansion:
         try:
             with open(f"{prefix}.json") as fh:
                 meta = json.load(fh)
+            if not isinstance(meta, dict):
+                raise ValueError(f"{prefix}.json holds no JSON object")
             if meta.get("format") != _FORMAT:
                 raise ArtifactError(
                     f"manifold artifact {prefix} has format {meta.get('format')}, "
@@ -251,8 +253,9 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
     lam, v = eigen_pick(sol.B, branch, c)
     inverse, B_F, rho_F, lam_F = _direction(branch, lam, rho, sol.B)
 
-    a = [sol.phi, FourierField.from_values(mesh, sol.C.matvec(np.broadcast_to(v, mesh.shape + (n,))))]
-    C_inv_shift = sol.C.inv().shift(rho_F)
+    a1 = _matvec(sol.C, np.broadcast_to(v, mesh.shape + (n,)))
+    a = [sol.phi, FourierField.from_values(mesh, a1)]
+    C_inv_shift = shift_grid(np.linalg.inv(sol.C), mesh, rho_F)
     thetas = mesh.grid()
     tails = {}
 
@@ -260,9 +263,9 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
         out = qpmap.transport_series(_tables(a), thetas, k, inverse=inverse)
         b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
         tails[k] = _check_tail(b, k)
-        g = FourierField.from_values(mesh, C_inv_shift.matvec(b.values))
+        g = FourierField.from_values(mesh, _matvec(C_inv_shift, b.values))
         u = solve_cohomological(g, B_F, rho_F, float(lam_F) ** k)
-        a.append(FourierField.from_values(mesh, sol.C.matvec(u.values)))
+        a.append(FourierField.from_values(mesh, _matvec(sol.C, u.values)))
 
     errors = _expansion_errors(qpmap, a, branch, lam, rho)
     return ManifoldExpansion(branch, lam, v, a, c, rho, errors, tails)

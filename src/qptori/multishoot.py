@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jets
 from .flowmap import PoincareSpec, section_map
-from .fourier import FourierField, FourierMatrix, MeshSpec
+from .fourier import FourierField, MeshSpec
 
 
 class LiftedMap:
@@ -92,7 +92,7 @@ class LiftedMap:
         return out
 
 
-def lifted_seed(lift: LiftedMap, mesh: MeshSpec, x0) -> tuple[FourierField, FourierMatrix, np.ndarray]:
+def lifted_seed(lift: LiftedMap, mesh: MeshSpec, x0) -> tuple[FourierField, np.ndarray, np.ndarray]:
     """Constant seed: every section torus at x0, identity change, and the
     lifted differential at the seed point as the Floquet guess."""
     x0 = np.asarray(x0, dtype=float)
@@ -100,7 +100,7 @@ def lifted_seed(lift: LiftedMap, mesh: MeshSpec, x0) -> tuple[FourierField, Four
     phi0 = FourierField.from_values(
         mesh, np.broadcast_to(stacked, mesh.shape + (lift.n,)).copy()
     )
-    C0 = FourierMatrix.identity(mesh, lift.n)
+    C0 = np.broadcast_to(np.eye(lift.n), mesh.shape + (lift.n, lift.n))
     _, jac = lift.images_and_jacobian(stacked[None], np.zeros((1, lift.d)))
     return phi0, C0, jac[0]
 

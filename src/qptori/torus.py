@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, FourierMatrix, MeshSpec
+from .fourier import FourierField, MeshSpec, shift_grid
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -53,7 +53,7 @@ class NewtonConfig:
 @dataclass
 class TorusSolution:
     phi: FourierField
-    C: FourierMatrix
+    C: np.ndarray  # grid values of the Floquet change, shape mesh.shape + (n, n)
     B: np.ndarray
     rho: np.ndarray
     history: list = dc_field(default_factory=list)
@@ -89,7 +89,8 @@ class TorusSolution:
 
     def save(self, prefix: str) -> None:
         self.phi.save(f"{prefix}.phi.bin")
-        self.C.as_field().save(f"{prefix}.C.bin")
+        cfield = FourierField.from_values(self.mesh, self.C.reshape(self.mesh.shape + (-1,)))
+        cfield.save(f"{prefix}.C.bin")
         with open(f"{prefix}.json", "w") as fh:
             json.dump(self._meta(), fh, indent=1)
 
@@ -119,9 +120,17 @@ class TorusSolution:
             )
         if not (np.isfinite(B).all() and np.isfinite(rho).all()):
             raise ArtifactError(f"torus artifact {prefix}: B or rho holds a non-finite value")
+        C = cfield.values.reshape(phi.mesh.shape + (n, n))
+        # the runs invert C, and the stable branch B; a flow map's are never singular
+        try:
+            np.linalg.inv(C), np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            raise ArtifactError(
+                f"torus artifact {prefix}: C is singular at a grid point, or B is singular"
+            ) from None
         return cls(
             phi=phi,
-            C=FourierMatrix.from_field(cfield, n),
+            C=C,
             B=B,
             rho=rho,
             history=history,
@@ -181,13 +190,14 @@ def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0
     return FourierField(mesh, g.n, coeffs=u)
 
 
-def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho) -> FourierMatrix:
+def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho) -> np.ndarray:
     """Solve ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` with Avg(H) = 0.
 
     ``Rt_values`` are grid values of the zero-average right-hand side, shape
     mesh + (n, n).  In the eigenbasis ``H' = V^{-1} H V`` each entry of a
     mode is ``H'_ij = (V^{-1} R V)_ij / (exp(i psi) mu_j - mu_i)``, and
     ``H = V H' V^{-1}``; the kappa = 0 mode is zero (H has zero average).
+    Returns the grid values of H, shape mesh + (n, n).
     """
     mu, V = np.linalg.eig(np.asarray(B, dtype=float))
     n = mu.size
@@ -202,7 +212,7 @@ def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho
     R_eig = np.einsum(similar, V_inv, rhat.reshape(mesh.cshape + (n, n)), V, optimize=True)
     hhat = np.einsum(similar, V, R_eig / den, V_inv, optimize=True)
     hfield = FourierField(mesh, n * n, coeffs=hhat.reshape(mesh.cshape + (n * n,)))
-    return FourierMatrix(mesh, hfield.values.reshape(mesh.shape + (n, n)))
+    return hfield.values.reshape(mesh.shape + (n, n))
 
 
 # -- diagnostics -----------------------------------------------------------
@@ -236,11 +246,16 @@ def _point_norm_max(v: np.ndarray) -> float:
     return float(np.sqrt((v * v).sum(axis=-1)).max())
 
 
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pointwise matrix-vector product on the grid: A mesh + (n, n), v mesh + (n,)."""
+    return np.einsum("...ij,...j->...i", A, v)
+
+
 def _reducibility_error(
-    jacs_grid: np.ndarray, C: FourierMatrix, C_inv_shift: FourierMatrix, B: np.ndarray
+    jacs_grid: np.ndarray, C: np.ndarray, C_inv_shift: np.ndarray, B: np.ndarray
 ) -> np.ndarray:
     """C^{-1}(theta+rho) DP C(theta) - B on the mesh, shape mesh + (n, n)."""
-    return C_inv_shift.values @ jacs_grid @ C.values - B
+    return C_inv_shift @ jacs_grid @ C - B
 
 
 # -- Newton steps ----------------------------------------------------------
@@ -249,8 +264,8 @@ def _reducibility_error(
 def torus_correction(
     phi: FourierField,
     y_grid: np.ndarray,
-    C: FourierMatrix,
-    C_inv_shift: FourierMatrix,
+    C: np.ndarray,
+    C_inv_shift: np.ndarray,
     B: np.ndarray,
     rho,
 ) -> tuple[FourierField, FourierField]:
@@ -260,37 +275,36 @@ def torus_correction(
     the resonance monitor).
     """
     mesh = phi.mesh
-    g = FourierField.from_values(mesh, -C_inv_shift.matvec(y_grid))
+    g = FourierField.from_values(mesh, -_matvec(C_inv_shift, y_grid))
     u = solve_cohomological(g, B, rho, 1.0)
-    h_vals = C.matvec(u.values)
+    h_vals = _matvec(C, u.values)
     h = FourierField.from_values(mesh, h_vals)
     return FourierField.from_values(mesh, phi.values + h_vals), h
 
 
 def floquet_correction(
     jacs_grid: np.ndarray,
-    C: FourierMatrix,
-    C_inv_shift: FourierMatrix,
+    C: np.ndarray,
+    C_inv_shift: np.ndarray,
     B: np.ndarray,
     rho,
-) -> tuple[FourierMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One Floquet half-step from the map differentials on the mesh.
 
     Returns the corrected change C (Id + H) and matrix B + Avg(R).
     """
-    mesh = C.mesh
+    n = B.shape[0]
     R = _reducibility_error(jacs_grid, C, C_inv_shift, B)
-    avg = R.reshape(-1, C.n, C.n).mean(axis=0)
+    avg = R.reshape(-1, n, n).mean(axis=0)
     B_new = B + avg
-    H = solve_coho_floquet(R - avg, mesh, B_new, rho)
-    C_new = FourierMatrix(mesh, C.values @ (np.eye(C.n) + H.values))
-    return C_new, B_new
+    H = solve_coho_floquet(R - avg, MeshSpec(C.shape[:-2]), B_new, rho)
+    return C @ (np.eye(n) + H), B_new
 
 
 def run_newton(
     qpmap,
     phi0: FourierField,
-    C0: FourierMatrix,
+    C0: np.ndarray,
     B0: np.ndarray,
     cfg: NewtonConfig = NewtonConfig(),
 ) -> TorusSolution:
@@ -303,15 +317,18 @@ def run_newton(
     give both residuals, and, unless those pass or a stop applies, the
     torus half-step moves phi for the next pass.  ``history`` holds one
     entry per pass, so ``max_iter`` corrections make at most
-    ``max_iter + 1`` sweeps.
+    ``max_iter + 1`` sweeps.  ``C0`` holds the grid values of the seed
+    change, shape mesh.shape + (n, n).
     """
     mesh = phi0.mesh
     n = phi0.n
     rho = np.asarray(qpmap.rho, dtype=float)
     thetas = mesh.grid()
 
-    phi, C, B = phi0, C0, np.array(B0, dtype=float)
-    C_inv_shift = C.inv().shift(rho)
+    phi, C, B = phi0, np.asarray(C0, dtype=float), np.array(B0, dtype=float)
+    if C.shape != mesh.shape + (n, n):
+        raise ValueError(f"C0 shape {C.shape} != {mesh.shape + (n, n)}")
+    C_inv_shift = shift_grid(np.linalg.inv(C), mesh, rho)
     history: list[dict] = []
     flags: list[tuple[int, ...]] = []
 
@@ -320,7 +337,7 @@ def run_newton(
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
         if it > 0:
             C, B = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
-            C_inv_shift = C.inv().shift(rho)
+            C_inv_shift = shift_grid(np.linalg.inv(C), mesh, rho)
 
         # the invariance error phi(theta+rho) - P(phi(theta), theta)
         y = phi.shift(rho).values.reshape(mesh.M, n) - images

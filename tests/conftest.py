@@ -60,7 +60,7 @@ def off_block_norm(sol, r):
         blk = slice(j * n, (j + 1) * n)
         C_mask[blk, blk] = False
         B_mask[((j + 1) % r) * n : ((j + 1) % r + 1) * n, blk] = False
-    return max(float(np.abs(sol.C.values[..., C_mask]).max()), float(np.abs(sol.B[B_mask]).max()))
+    return max(float(np.abs(sol.C[..., C_mask]).max()), float(np.abs(sol.B[B_mask]).max()))
 
 
 def lift_spectral_errors(lifted, single, P, npoints=5):

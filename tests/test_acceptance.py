@@ -28,6 +28,7 @@ from qptori import (
     run_newton,
 )
 from qptori.errors import ResonanceError
+from qptori.fourier import shift_grid
 from qptori.manifold import stable_expansion, unstable_expansion
 from qptori.multishoot import lifted_seed
 from qptori.torus import solve_coho_floquet, solve_cohomological
@@ -211,8 +212,8 @@ class TestCriterion4:
                         R = rng.standard_normal(mesh.shape + (n, n))
                         R -= R.reshape(-1, n, n).mean(axis=0)
                         H = solve_coho_floquet(R, mesh, B, rho)
-                        lhs = H.shift(rho).values @ B
-                        rhs = B @ H.values + R
+                        lhs = shift_grid(H, mesh, rho) @ B
+                        rhs = B @ H + R
                     else:
                         m = 2 + done % 9
                         mags = np.abs(np.linalg.eigvals(B))

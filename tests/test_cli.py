@@ -496,6 +496,12 @@ def _ones_field(mesh, n):
     return FourierField.from_values(mesh, np.ones(mesh.shape + (n,)))
 
 
+def _zero_change(meta, path):
+    # finite, but singular at every grid point
+    mesh = FourierField.load(path / "torus.phi.bin").mesh
+    FourierField.from_values(mesh, np.zeros(mesh.shape + (4,))).save(path / "torus.C.bin")
+
+
 def _n_against_phi(meta, path):
     # C and B fit n = 1, but phi still holds 2 components
     meta.update(n=1, B=[[1.0]])
@@ -529,6 +535,8 @@ class TestCorruptMetadata:
             lambda meta, path: meta.update(rho=[0.4, 0.2]),
             lambda meta, path: meta["B"][0].__setitem__(0, np.nan),
             lambda meta, path: meta.update(rho=[np.inf]),
+            _zero_change,
+            lambda meta, path: meta.update(B=[[0.0, 0.0], [0.0, 2.0]]),
         ],
         ids=[
             "no-n",
@@ -538,6 +546,8 @@ class TestCorruptMetadata:
             "rho-length",
             "B-nan",
             "rho-inf",
+            "C-singular",
+            "B-singular",
         ],
     )
     def test_torus(self, run_dir, tmp_path, capsys, damage):
@@ -546,17 +556,28 @@ class TestCorruptMetadata:
         (tmp_path / "torus.json").write_text(json.dumps(meta))
         self._refused(run_dir, tmp_path, capsys, tmp_path / "torus", TorusSolution.load)
 
-    @pytest.mark.parametrize("command", ["torus", "manifold"])
-    def test_nan_floquet_matrix_seed_refused(self, run_dir, tmp_path, capsys, command):
-        # a NaN in B stops --resume with one error line, not a LinAlgError traceback
+    def _resume_refused(self, run_dir, tmp_path, capsys, command):
         _, config = run_dir
-        meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin", ".C.bin"))
-        meta["B"][0][0] = np.nan
-        (tmp_path / "torus.json").write_text(json.dumps(meta))
         argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
         assert cli.main(argv + ["--resume", str(tmp_path / "torus")]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["torus", "manifold"])
+    def test_nan_floquet_matrix_seed_refused(self, run_dir, tmp_path, capsys, command):
+        # a NaN in B stops --resume with one error line, not a LinAlgError traceback
+        meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin", ".C.bin"))
+        meta["B"][0][0] = np.nan
+        (tmp_path / "torus.json").write_text(json.dumps(meta))
+        self._resume_refused(run_dir, tmp_path, capsys, command)
+
+    @pytest.mark.parametrize("command", ["torus", "manifold"])
+    def test_singular_change_seed_refused(self, run_dir, tmp_path, capsys, command):
+        # so does a C that cannot be inverted
+        meta = self._copy(run_dir, tmp_path, "torus", (".phi.bin",))
+        _zero_change(meta, tmp_path)
+        (tmp_path / "torus.json").write_text(json.dumps(meta))
+        self._resume_refused(run_dir, tmp_path, capsys, command)
 
     @pytest.mark.parametrize(
         "damage",
@@ -632,6 +653,48 @@ class TestManifoldFormat:
         assert cli.main(argv) == 5
         assert "has format None" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "slice"])
+    @pytest.mark.parametrize(
+        "text", ["[]", "null", "1", '"x"'], ids=["list", "null", "number", "string"]
+    )
+    def test_json_not_an_object_refused(
+        self, run_dir, old_artifact, tmp_path, capsys, command, text
+    ):
+        _, config = run_dir
+        (tmp_path / "manifold_stable.json").write_text(text)  # the coefficients stay
+        if command == "verify":
+            argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(old_artifact)]
+        else:
+            argv = ["slice", str(old_artifact), "--output", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command, squatted",
+        [
+            ("torus", "torus.phi.bin"),
+            ("manifold", "manifold_unstable.a0.bin"),
+            ("verify", "verify_report.json"),
+        ],
+        ids=["torus", "manifold", "verify"],
+    )
+    def test_directory_in_the_way(self, run_dir, tmp_path, capsys, command, squatted):
+        # refused with exit 5 when the file is written, after the computation
+        out, config = run_dir
+        (tmp_path / squatted).mkdir()
+        argv = [command, "--config", str(config), "--out", str(tmp_path)]
+        if command == "manifold":
+            argv += ["--resume", str(out / "torus")]
+        elif command == "verify":
+            argv.append(str(out / "torus"))
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and squatted in err
 
 
 class TestDeterminism:

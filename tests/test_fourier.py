@@ -5,9 +5,9 @@ import pytest
 
 from qptori.fourier import (
     FourierField,
-    FourierMatrix,
     MeshSpec,
     analyze,
+    shift_grid,
     synthesize,
 )
 
@@ -274,26 +274,18 @@ class TestPersistence:
             FourierField.load(path)
 
 
-class TestFourierMatrix:
-    def test_identity_matvec(self):
-        mesh = MeshSpec((5,))
-        eye = FourierMatrix.identity(mesh, 2)
-        vec = np.random.default_rng(7).standard_normal(mesh.shape + (2,))
-        assert np.allclose(eye.matvec(vec), vec)
-
-    def test_inv(self):
-        mesh = MeshSpec((5, 5))
-        rng = np.random.default_rng(8)
-        vals = np.broadcast_to(np.eye(2), mesh.shape + (2, 2)) + 0.2 * rng.standard_normal(
-            mesh.shape + (2, 2)
-        )
-        A = FourierMatrix(mesh, vals)
-        prod = A.values @ A.inv().values
-        assert np.abs(prod - np.eye(2)).max() < 1e-12
-
+class TestShiftGrid:
     def test_shift_roundtrip(self):
         mesh = MeshSpec((7,))
-        rng = np.random.default_rng(9)
-        A = FourierMatrix(mesh, rng.standard_normal(mesh.shape + (2, 2)))
-        back = A.shift([0.4]).shift([-0.4])
-        assert np.abs(back.values - A.values).max() < 1e-13
+        A = np.random.default_rng(9).standard_normal(mesh.shape + (2, 2))
+        back = shift_grid(shift_grid(A, mesh, [0.4]), mesh, [-0.4])
+        assert back.shape == A.shape
+        assert np.abs(back - A).max() < 1e-13
+
+    def test_vector_values_match_field_shift(self):
+        mesh = MeshSpec((5, 7))
+        f = FourierField.from_values(
+            mesh, np.random.default_rng(10).standard_normal(mesh.shape + (3,))
+        )
+        alpha = [0.3, 0.81]
+        assert np.array_equal(shift_grid(f.values, mesh, alpha), f.shift(alpha).values)

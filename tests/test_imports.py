@@ -6,8 +6,10 @@ its own module, every public one (and every public method or property) is
 read somewhere in the package or documented in ``qptori.__all__`` or the
 README, every function parameter and local name is read, the map
 layer imports nothing from the algorithm layer, no module reads the
-environment, every name the benchmark's tracer wraps still exists and reads
-its sizes where they are, and the benchmark's CLI config still loads.
+environment, no function outside ``fourier.analyze`` and
+``fourier.synthesize`` runs an FFT, every name the benchmark's tracer wraps
+still exists and reads its sizes where they are, and the benchmark's CLI
+config still loads.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -326,6 +328,44 @@ def test_environment_is_not_read(path):
         )
     ]
     assert not reads, f"environment reads: {', '.join(reads)}"
+
+
+# numpy.fft names that compute no transform
+_FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_fft_runs_only_in_analyze_and_synthesize(path):
+    # the benchmark counts FFTs (fourier.fft_calls) by wrapping these two
+    # functions, so a transform anywhere else would go uncounted
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [
+        range(fn.lineno, fn.end_lineno + 1)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and path.name == "fourier.py"
+        and fn.name in ("analyze", "synthesize")
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("numpy.fft")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.fft"):
+                found.append(node.module)
+            elif node.module == "numpy":
+                found += [a.name for a in node.names if a.name == "fft"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr not in _FFT_HELPERS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+            and not any(node.lineno in lines for lines in owners)
+        ):
+            found.append(f"line {node.lineno} np.fft.{node.attr}")
+    assert not found, f"{path.name}: FFT outside analyze and synthesize: {', '.join(found)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

@@ -232,8 +232,8 @@ def _check_artifact(
         art.rho, rho, rtol=0.0, atol=1e-12
     ):
         raise ArtifactError(
-            f"artifact {prefix} (n={art.n}, rho={list(art.rho)}) does not match "
-            f"the configured map (n={lift.n}, rho={list(rho)}, sections={lift.r})"
+            f"artifact {prefix} (n={art.n}, rho={art.rho.tolist()}) does not match "
+            f"the configured map (n={lift.n}, rho={rho.tolist()}, sections={lift.r})"
         )
 
 

@@ -6,10 +6,12 @@ omega_0`` of the section angle; intermediate section maps cover a fraction
 ``theta_i(t) = theta_i(0) + omega_i t / (2 pi)`` (angles in turns), so only
 the state is integrated.
 
-One primitive sweeps batches of grid points: ``section_map`` flows states
-between consecutive shooting sections.  ``multishoot.LiftedMap`` builds the
-grid-sweep map of the torus and manifold algorithms on it, for every section
-count r >= 1 (r = 1 is the plain return map).
+One primitive sweeps batches of grid points: ``section_map`` flows jets
+(batch, n, ncoeff) between consecutive shooting sections; a real state is
+the one-coefficient jet ``jets.REAL``, ``x[..., None]``.  The grid-sweep map
+of the torus and manifold algorithms, ``multishoot.LiftedMap``, calls it
+from one route loop for every section count r >= 1 (r = 1 is the plain
+return map).
 
 A model meets one contract, ``QPVectorField.rhs(x, theta, spec)``.  The
 integrator asks it once per span for the stage function
@@ -330,24 +332,23 @@ class PoincareSpec:
 
 def _advance_chunk(payload):
     P, x, thetas, frac0, frac1, spec = payload
-    y0 = x if x.ndim == 3 else x[..., None]
     theta_start = np.empty((x.shape[0], P.field.d + 1))
     theta_start[:, 0] = frac0
     theta_start[:, 1:] = thetas
     span = (frac1 - frac0) * P.field.delta
-    y1 = integrate_span(P.field, y0, theta_start, span, spec, P.tol)
-    return y1 if x.ndim == 3 else y1[..., 0]
+    return integrate_span(P.field, x, theta_start, span, spec, P.tol)
 
 
-def section_map(P: PoincareSpec, j: int, x, thetas, spec=jets.REAL, inverse: bool = False):
-    """Map between consecutive shooting sections (j = 1..r).
+def section_map(P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse: bool = False):
+    """Map jets between consecutive shooting sections (j = 1..r).
 
     Forward: from section j to section j+1, a span of delta/r starting at
     section fraction (j-1)/r.  Inverse: the corresponding preimage, where
-    ``thetas`` are the angles on section j+1.  ``x`` is (batch, n) for real
-    states or (batch, n, ncoeff) for jets; ``thetas`` is (batch, d).  The
-    batch is cut into fixed-size chunks (independent of the worker count)
-    and dispatched to the pool.
+    ``thetas`` are the angles on section j+1.  ``x`` is (batch, n, ncoeff)
+    with ``ncoeff`` set by ``spec`` (a real state is a ``jets.REAL`` jet,
+    ``x[..., None]``); ``thetas`` is (batch, d).  The batch is cut into
+    fixed-size chunks (independent of the worker count) and dispatched to
+    the pool.
     """
     if not 1 <= j <= P.r:
         raise ValueError(f"section index {j} outside 1..{P.r}")

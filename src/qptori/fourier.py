@@ -113,6 +113,12 @@ def synthesize(coeffs: np.ndarray, mesh: MeshSpec) -> np.ndarray:
     return np.fft.irfftn(coeffs, s=mesh.shape, axes=tuple(range(mesh.d)))
 
 
+def mode_phases(mesh: MeshSpec, alpha) -> np.ndarray:
+    """exp(2 pi i <kappa, alpha>) for every stored mode kappa, shape cshape:
+    the factor by which a shift by alpha (turns) multiplies each coefficient."""
+    return np.exp(2j * np.pi * (mesh.freqs() @ np.asarray(alpha, dtype=float)))
+
+
 def _contract(work: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Sum axis 1 of ``work`` (P or 1, K, ...) against ``phases`` (P or 1, K).
 
@@ -207,8 +213,8 @@ class FourierField:
 
     def shift(self, alpha) -> "FourierField":
         """The field theta -> x(theta + alpha), alpha in turns."""
-        phase = np.exp(2j * np.pi * (self.mesh.freqs() @ np.asarray(alpha, dtype=float)))
-        return FourierField(self.mesh, self.n, coeffs=self.coeffs * phase[..., None])
+        phase = mode_phases(self.mesh, alpha)[..., None]
+        return FourierField(self.mesh, self.n, coeffs=self.coeffs * phase)
 
     def evaluate(self, theta) -> np.ndarray:
         """Values at angles theta (turns), shape (d,) or (npts, d): (n,) or (npts, n)."""

@@ -21,7 +21,10 @@ converts once per span.
 The module holds what the vector fields and the transport use: linear
 operations are plain numpy arithmetic on the coefficient arrays, the one
 elementary function is ``sin_cos``, and the seeds turn states and manifold
-coefficient tables into jets.  All operations are pure and deterministic;
+coefficient tables into jets.  A real state is the one-coefficient jet
+``REAL``, ``x[..., None]``, so the transport takes jets only; its outputs are
+read by indexing the coefficient axis (``[..., 0]`` the values, ``[..., 1:]``
+the Jacobian of a gradient jet).  All operations are pure and deterministic;
 the only shared state is the read-only order tables that ``sin_cos`` caches.
 """
 
@@ -125,11 +128,6 @@ def seed_gradient(x: np.ndarray) -> tuple[np.ndarray, JetSpec]:
     idx = np.arange(n)
     out[..., idx, 1 + idx] = 1.0
     return out, spec
-
-
-def split_gradient(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of seed_gradient on outputs: (values (..., n), Jacobian (..., n, n))."""
-    return y[..., 0], y[..., 1:]
 
 
 def seed_series(tables: np.ndarray, order: int) -> tuple[np.ndarray, JetSpec]:

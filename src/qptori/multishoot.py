@@ -56,26 +56,27 @@ class LiftedMap:
             else:
                 yield j, j, j % r + 1
 
-    def images(self, x, thetas, inverse=False):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+    def _sweep(self, y, thetas, spec, inverse):
+        """Lifted jets (batch, n*r, ncoeff) through every section on its route."""
+        out = np.empty_like(y)
         for j, src, dst in self._routes(inverse):
             out[:, self._block(dst)] = section_map(
-                self.P, j, x[:, self._block(src)], thetas, inverse=inverse
+                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse
             )
         return out
 
+    def images(self, x, thetas, inverse=False):
+        x = np.asarray(x, dtype=float)
+        return self._sweep(x[..., None], thetas, jets.REAL, inverse)[..., 0]
+
     def images_and_jacobian(self, x, thetas, inverse=False):
         x = np.asarray(x, dtype=float)
-        vals = np.empty_like(x)
+        seeds, spec = jets.seed_gradient(x.reshape(x.shape[0], self.r, -1))
+        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, inverse)
         jac = np.zeros((x.shape[0], self.n, self.n))
-        for j, src, dst in self._routes(inverse):
-            seeds, spec = jets.seed_gradient(x[:, self._block(src)])
-            out = section_map(self.P, j, seeds, thetas, spec, inverse=inverse)
-            v, J = jets.split_gradient(out)
-            vals[:, self._block(dst)] = v
-            jac[:, self._block(dst), self._block(src)] = J
-        return vals, jac
+        for _, src, dst in self._routes(inverse):
+            jac[:, self._block(dst), self._block(src)] = out[:, self._block(dst), 1:]
+        return out[..., 0].copy(), jac  # a view would keep the whole jet array alive
 
     def transport_series(self, tables, thetas, order, inverse=False):
         """Push truncated sigma-series through the map.
@@ -83,13 +84,9 @@ class LiftedMap:
         ``tables`` stacks the series coefficients, shape (k, batch, n); the
         result has shape (order+1, batch, n).
         """
-        tables = np.asarray(tables, dtype=float)
-        out = np.empty((order + 1,) + tables.shape[1:])
-        for j, src, dst in self._routes(inverse):
-            seeds, spec = jets.seed_series(tables[:, :, self._block(src)], order)
-            img = section_map(self.P, j, seeds, thetas, spec, inverse=inverse)
-            out[:, :, self._block(dst)] = np.moveaxis(img, -1, 0)
-        return out
+        seeds, spec = jets.seed_series(np.asarray(tables, dtype=float), order)
+        out = self._sweep(seeds, thetas, spec, inverse)
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 def lifted_seed(lift: LiftedMap, mesh: MeshSpec, x0) -> tuple[FourierField, np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, MeshSpec, shift_grid
+from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -141,12 +141,6 @@ class TorusSolution:
 # -- cohomological solvers ------------------------------------------------
 
 
-def _mode_phases(mesh: MeshSpec, rho) -> np.ndarray:
-    """exp(2 pi i <kappa, rho>) for every stored mode, shape cshape."""
-    psi = 2.0 * np.pi * (mesh.freqs() @ np.asarray(rho, dtype=float))
-    return np.exp(1j * psi)
-
-
 def _check_divisors(den: np.ndarray, V: np.ndarray, sides: int, mesh: MeshSpec, what: str):
     """Raise on an (almost) exactly singular mode, warn on a small divisor.
 
@@ -184,7 +178,7 @@ def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0
     """
     mu, V = np.linalg.eig(np.asarray(B, dtype=float))
     mesh = g.mesh
-    den = factor * _mode_phases(mesh, rho)[..., None] - mu
+    den = factor * mode_phases(mesh, rho)[..., None] - mu
     _check_divisors(den, V, 1, mesh, "cohomological")
     u = ((g.coeffs @ np.linalg.inv(V).T) / den) @ V.T
     return FourierField(mesh, g.n, coeffs=u)
@@ -202,7 +196,7 @@ def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho
     mu, V = np.linalg.eig(np.asarray(B, dtype=float))
     n = mu.size
     rhat = FourierField.from_values(mesh, Rt_values.reshape(mesh.shape + (n * n,))).coeffs
-    den = _mode_phases(mesh, rho)[..., None, None] * mu - mu[:, None]
+    den = mode_phases(mesh, rho)[..., None, None] * mu - mu[:, None]
     den[(0,) * mesh.d] = np.inf  # the kappa = 0 mode divides to zero and is not checked
     _check_divisors(den, V, 2, mesh, "Floquet")
     V_inv = np.linalg.inv(V)

@@ -81,11 +81,11 @@ def lift_spectral_errors(lifted, single, P, npoints=5):
     idx = rng.choice(single.mesh.M, size=min(npoints, single.mesh.M), replace=False)
     x = single.phi.values.reshape(single.mesh.M, single.n)[idx]
     thetas = single.mesh.grid()[idx]
-    comp = x
+    comp = x[..., None]
     for j in range(1, r + 1):
-        comp = section_map(P, j, comp, (thetas + (j - 1) * P.rho_section) % 1.0)
-    direct = section_map(PoincareSpec(P.field, tol=P.tol), 1, x, thetas)
-    comp_err = float(np.sqrt(((comp - direct) ** 2).sum(-1)).max())
+        comp = section_map(P, j, comp, (thetas + (j - 1) * P.rho_section) % 1.0, jets.REAL)
+    direct = section_map(PoincareSpec(P.field, tol=P.tol), 1, x[..., None], thetas, jets.REAL)
+    comp_err = float(np.sqrt(((comp - direct)[..., 0] ** 2).sum(-1)).max())
     return eig_err, comp_err
 
 

@@ -221,7 +221,11 @@ class TestResume:
         # an r=1 artifact (n=2) cannot seed the two-section lift (n=4)
         config = CONFIG_D1.replace("sections = 1", "sections = 2")
         assert self._resume(run_dir, tmp_path, config) == 5
-        assert "does not match the configured map" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not match the configured map" in err
+        # the rotations print as plain floats, not as numpy scalar reprs
+        assert "(n=2, rho=[0.41421356237309515])" in err
+        assert "(n=4, rho=[0.7071067811865476], sections=2)" in err
 
     def test_other_frequencies_refused(self, run_dir, tmp_path):
         # same state size, but another rotation number

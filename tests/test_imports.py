@@ -7,7 +7,8 @@ read somewhere in the package or documented in ``qptori.__all__`` or the
 README, every function parameter and local name is read, the map
 layer imports nothing from the algorithm layer, no module reads the
 environment, no function outside ``fourier.analyze`` and
-``fourier.synthesize`` runs an FFT, every name the benchmark's tracer wraps
+``fourier.synthesize`` runs an FFT, nothing outside ``LiftedMap._sweep``
+calls ``flowmap.section_map``, every name the benchmark's tracer wraps
 still exists and reads its sizes where they are, and the benchmark's CLI
 config still loads.
 
@@ -280,7 +281,7 @@ def test_perfbench_span_size_is_the_batch(monkeypatch):
     x = np.array([np.pi, 0.0]) + 0.01 * rng.standard_normal((5, 2))
     thetas = rng.random((5, 1))
     for seeds, spec in (
-        (x, jets.REAL),
+        (x[..., None], jets.REAL),
         jets.seed_gradient(x),
         jets.seed_series(np.stack([x, np.ones_like(x)]), 3),
     ):
@@ -366,6 +367,33 @@ def test_fft_runs_only_in_analyze_and_synthesize(path):
         ):
             found.append(f"line {node.lineno} np.fft.{node.attr}")
     assert not found, f"{path.name}: FFT outside analyze and synthesize: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_section_map_runs_only_in_the_lifted_sweep(path):
+    # every grid sweep goes through LiftedMap's one route loop, so the lift
+    # is the only place that knows the section routes, and the benchmark's
+    # section-map count (multishoot.section_maps) sees every call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [
+        range(fn.lineno, fn.end_lineno + 1)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "LiftedMap"
+        and path.name == "multishoot.py"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep"
+    ]
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "section_map")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "section_map")
+        )
+        and not any(node.lineno in lines for lines in owners)
+    ]
+    assert not found, f"{path.name}: section_map outside LiftedMap._sweep: {', '.join(found)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

@@ -73,7 +73,7 @@ class TestField:
         seeds, spec = jets.seed_gradient(x)
         out = field.rhs(np.ascontiguousarray(seeds.T), theta, spec)  # (ncoeff, n, batch)
         assert out.shape == (spec.ncoeff, 2, 5)
-        _, jac = jets.split_gradient(out.T)
+        jac = out.T[..., 1:]
         h = 1e-6
         for col in range(2):
             e = np.zeros(2)

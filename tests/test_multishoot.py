@@ -21,29 +21,44 @@ def r2_solution(d1_torus):
 
 
 class TestLift:
-    def test_r1_lift_is_plain_map(self):
-        # bitwise: with one section the lift is a single full-return sweep,
-        # for images, differentials and series, forward and inverse
-        field, mesh, P = pendulum_setup(1, 31, r=1)
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_lift_blocks_are_section_maps(self, r):
+        # bitwise: each destination block of images, differentials and
+        # series, forward and inverse, is its own section map of its source
+        # block, and the Jacobian blocks off the cyclic route are exactly 0;
+        # with r = 1 the lift is the plain return map
+        field, mesh, P = pendulum_setup(1, 31, r=r)
         lift = LiftedMap(P)
+        n = field.n
         rng = np.random.default_rng(0)
-        x = np.array([np.pi, 0.0]) + 0.05 * rng.standard_normal((4, 2))
+        x = np.tile([np.pi, 0.0], r) + 0.05 * rng.standard_normal((4, n * r))
         theta = rng.random((4, 1))
-        tables = np.stack([x, 0.1 * rng.standard_normal((4, 2))])
+        tables = np.stack([x, 0.1 * rng.standard_normal((4, n * r))])
         for inverse in (False, True):
-            plain = section_map(P, 1, x, theta, inverse=inverse)
-            assert np.array_equal(lift.images(x, theta, inverse=inverse), plain)
+            images = lift.images(x, theta, inverse=inverse)
+            vals, jac = lift.images_and_jacobian(x, theta, inverse=inverse)
+            series = lift.transport_series(tables, theta, 3, inverse=inverse)
+            on_route = np.zeros((r, r), dtype=bool)
+            for j in range(1, r + 1):
+                src, dst = (j % r + 1, j) if inverse else (j, j % r + 1)
+                on_route[dst - 1, src - 1] = True
+                s = slice((src - 1) * n, src * n)
+                t = slice((dst - 1) * n, dst * n)
 
-            seeds, spec = jets.seed_gradient(x)
-            vals, jac = jets.split_gradient(section_map(P, 1, seeds, theta, spec, inverse=inverse))
-            lift_vals, lift_jac = lift.images_and_jacobian(x, theta, inverse=inverse)
-            assert np.array_equal(lift_vals, vals)
-            assert np.array_equal(lift_jac, jac)
+                plain = section_map(P, j, x[:, s, None], theta, jets.REAL, inverse=inverse)
+                assert np.array_equal(images[:, t], plain[..., 0])
 
-            seeds, spec = jets.seed_series(tables, 3)
-            series = np.moveaxis(section_map(P, 1, seeds, theta, spec, inverse=inverse), -1, 0)
-            assert np.array_equal(lift.transport_series(tables, theta, 3, inverse=inverse), series)
-        assert np.array_equal(lift.rho, (field.omega[1:] / field.omega[0]) % 1.0)
+                seeds, spec = jets.seed_gradient(x[:, s])
+                grad = section_map(P, j, seeds, theta, spec, inverse=inverse)
+                assert np.array_equal(vals[:, t], grad[..., 0])
+                assert np.array_equal(jac[:, t, s], grad[..., 1:])
+
+                seeds, spec = jets.seed_series(tables[:, :, s], 3)
+                img = section_map(P, j, seeds, theta, spec, inverse=inverse)
+                assert np.array_equal(series[:, :, t], np.moveaxis(img, -1, 0))
+            blocks = jac.reshape(4, r, n, r, n).transpose(0, 1, 3, 2, 4)
+            assert not blocks[:, ~on_route].any()
+        assert np.array_equal(lift.rho, (field.omega[1:] / field.omega[0] / r) % 1.0)
 
     def test_lifted_rotation(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)
@@ -64,7 +79,7 @@ class TestLift:
             src = slice((j - 1) * 2, j * 2)
             dst_j = j % 3 + 1
             dst = slice((dst_j - 1) * 2, dst_j * 2)
-            expected = section_map(P, j, x[:, src], theta)
+            expected = section_map(P, j, x[:, src, None], theta, jets.REAL)[..., 0]
             assert np.abs(out[:, dst] - expected).max() < 1e-14
 
     def test_inverse_roundtrip(self):
@@ -93,7 +108,8 @@ class TestLiftedNewton:
         shifted = sol.phi.shift(lift.rho).values.reshape(mesh.M, P.r * n)
         for j in range(1, P.r + 1):
             nxt = j % P.r
-            img = section_map(P, j, values[:, (j - 1) * n : j * n], mesh.grid())
+            x = values[:, (j - 1) * n : j * n, None]
+            img = section_map(P, j, x, mesh.grid(), jets.REAL)[..., 0]
             target = shifted[:, nxt * n : (nxt + 1) * n]
             assert np.sqrt(((img - target) ** 2).sum(-1)).max() < 1e-11
 

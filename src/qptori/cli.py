@@ -285,7 +285,7 @@ def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str | float):
         return fn(sol, lift, m, scaling), None
     exp = fn(sol, lift, m, 1.0)
     radius = estimate_radius(exp)
-    if np.isfinite(radius) and not 0.1 <= radius <= 10.0:
+    if radius is not None and not 0.1 <= radius <= 10.0:
         return fn(sol, lift, m, radius), radius
     return exp, radius
 

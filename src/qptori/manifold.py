@@ -263,9 +263,8 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
         out = qpmap.transport_series(_tables(a), thetas, k, inverse=inverse)
         b = FourierField.from_values(mesh, out[k].reshape(mesh.shape + (n,)))
         tails[k] = _check_tail(b, k)
-        g = FourierField.from_values(mesh, _matvec(C_inv_shift, b.values))
-        u = solve_cohomological(g, B_F, rho_F, float(lam_F) ** k)
-        a.append(FourierField.from_values(mesh, _matvec(sol.C, u.values)))
+        u = solve_cohomological(_matvec(C_inv_shift, b.values), mesh, B_F, rho_F, float(lam_F) ** k)
+        a.append(FourierField.from_values(mesh, _matvec(sol.C, u)))
 
     errors = _expansion_errors(qpmap, a, branch, lam, rho)
     return ManifoldExpansion(branch, lam, v, a, c, rho, errors, tails)
@@ -281,9 +280,10 @@ def stable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> Manif
     return _expand(sol, qpmap, "stable", m, c)
 
 
-def estimate_radius(exp: ManifoldExpansion) -> float:
+def estimate_radius(exp: ManifoldExpansion) -> float | None:
     """Root-test estimate of the convergence radius, 1 / limsup ||a_k||^(1/k),
-    over the top ``_RADIUS_ORDERS`` orders from 2 on."""
+    over the top ``_RADIUS_ORDERS`` orders from 2 on; None when no such
+    order is nonzero."""
     m = exp.order
     ks = range(max(2, m - _RADIUS_ORDERS + 1), m + 1)
     roots = []
@@ -291,6 +291,4 @@ def estimate_radius(exp: ManifoldExpansion) -> float:
         norm = float(np.abs(exp.coeffs[k].values).max())
         if norm > 0.0:
             roots.append(norm ** (1.0 / k))
-    if not roots:
-        return np.inf
-    return 1.0 / max(roots)
+    return 1.0 / max(roots) if roots else None

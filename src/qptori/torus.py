@@ -12,15 +12,18 @@ finish the previous Floquet half, its images give both residuals, and the
 torus half follows unless they pass.  C^{-1} is derived from C where it is
 needed, never stored.
 
-Both equations are solved in the eigenbasis of the constant matrix,
-``B = V diag(mu) V^{-1}``, with the stored mode ``kappa`` and phase
-``psi = 2 pi <kappa, rho>``: every mode then needs one division per
-component (torus and manifold) or per matrix entry (Floquet), by the
-divisors ``factor exp(i psi) - mu_i`` and ``exp(i psi) mu_j - mu_i``.  Going
-to the eigenbasis and back amplifies round-off by up to cond(V) for a
-vector and cond(V)^2 for a matrix, so the divisor check reads
-``|divisor| / cond(V)`` and ``|divisor| / cond(V)^2``: an ill-conditioned
-(or defective) B warns and is refused like a small divisor.
+The torus, Floquet and manifold equations are one equation,
+``X(theta+rho) A - B X(theta) = G`` on grid values: A = 1 for the torus,
+A = lambda^m for manifold order m and A = B, with a zero-average X, for
+the Floquet change.  It is solved in the eigenbases ``B = V diag(mu) V^{-1}``
+and ``A = W diag(nu) W^{-1}``, with the stored mode ``kappa`` and phase
+``psi = 2 pi <kappa, rho>``: every mode needs one division per entry, by
+``exp(i psi) nu_j - mu_i``.  Going to the eigenbases and back amplifies
+round-off by up to cond(V) cond(W), so the one divisor rule reads
+``|divisor| / (cond(V) cond(W))``, which is ``|divisor| / cond(V)`` for a
+vector (W = 1) and ``|divisor| / cond(V)^2`` for the Floquet change (W = V):
+an ill-conditioned (or defective) B
+warns and is refused like a small divisor.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
+from .fourier import FourierField, MeshSpec, analyze, mode_phases, shift_grid, synthesize
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -141,72 +144,63 @@ class TorusSolution:
 # -- cohomological solvers ------------------------------------------------
 
 
-def _check_divisors(den: np.ndarray, V: np.ndarray, sides: int, mesh: MeshSpec, what: str):
-    """Raise on an (almost) exactly singular mode, warn on a small divisor.
+def _solve_eigenbasis(G: np.ndarray, mesh: MeshSpec, B, A, rho, zero_mean=False) -> np.ndarray:
+    """Solve ``X(theta+rho) A - B X(theta) = G`` for grid values G, shape mesh + (n, k).
 
-    ``den`` holds the eigenbasis divisors of each stored mode on its trailing
-    axes and ``V`` the eigenvectors of B.  A solve that goes to the
-    eigenbasis and back on ``sides`` sides amplifies round-off by up to
-    cond(V)**sides, so a divisor counts as ``|den| / cond(V)**sides``.
+    With ``B = V diag(mu) V^{-1}`` and ``A = W diag(nu) W^{-1}``, each mode
+    of ``Y = V^{-1} X W`` is ``Y_ij = (V^{-1} G W)_ij / (exp(i psi) nu_j - mu_i)``
+    and ``X = V Y W^{-1}``.  ``zero_mean`` gives the zero-average X: its
+    kappa = 0 mode is zero and not checked.  A divisor counts as
+    ``|den| / (cond(V) cond(W))``; below 1e-13 it raises ResonanceError, and
+    below ``_DIVISOR_WARN`` it warns at the line that called the public
+    solver, one frame up.  Returns the grid values of X.
     """
-    cond = float(np.linalg.cond(V))
+    mu, V = np.linalg.eig(B)
+    nu, W = (mu, V) if A is B else np.linalg.eig(A)
+    den = mode_phases(mesh, rho)[..., None, None] * nu - mu[:, None]
+    if zero_mean:
+        den[(0,) * mesh.d] = np.inf
+    cond = float(np.linalg.cond(V) * np.linalg.cond(W))
     mins = np.abs(den).reshape(mesh.cshape + (-1,)).min(axis=-1)
     worst = int(np.argmin(mins))
-    smallest = float(mins.flat[worst]) / cond**sides
-    if smallest >= _DIVISOR_WARN:
-        return
-    kappa = tuple(int(k) for k in mesh.freqs().reshape(-1, mesh.d)[worst])
-    if smallest < 1e-13:
-        raise ResonanceError(
-            f"singular {what} block at kappa={kappa} (divisor {smallest:.3e}, cond(V) {cond:.3e})",
-            kappa=kappa,
+    smallest = float(mins.flat[worst]) / cond
+    if smallest < _DIVISOR_WARN:
+        kappa = tuple(int(k) for k in mesh.freqs().reshape(-1, mesh.d)[worst])
+        if smallest < 1e-13:
+            raise ResonanceError(
+                f"singular block at kappa={kappa} (divisor {smallest:.3e}, cond {cond:.3e})",
+                kappa=kappa,
+            )
+        warnings.warn(
+            f"small divisor {smallest:.3e} at kappa={kappa} (cond {cond:.3e})",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    warnings.warn(
-        f"small divisor {smallest:.3e} in {what} block at kappa={kappa} (cond(V) {cond:.3e})",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    # einsum contracts the stacked products through BLAS; a stacked matmul
+    # over the modes is several times slower at small n
+    similar = "ij,...jk,kl->...il"
+    Y = np.einsum(similar, np.linalg.inv(V), analyze(G, mesh.d), W, optimize=True) / den
+    return synthesize(np.einsum(similar, V, Y, np.linalg.inv(W), optimize=True), mesh)
 
 
-def solve_cohomological(g: FourierField, B: np.ndarray, rho, factor: float = 1.0) -> FourierField:
-    """Solve ``factor * u(theta+rho) = B u(theta) + g(theta)`` mode by mode.
+def solve_cohomological(g: np.ndarray, mesh: MeshSpec, B, rho, factor: float = 1.0) -> np.ndarray:
+    """Solve ``factor * u(theta+rho) = B u(theta) + g(theta)`` on grid values:
+    g and the returned u have shape mesh + (n,).
 
     ``factor = 1`` is the torus equation; ``factor = lambda**m`` gives the
-    manifold equation of order m.  In the eigenbasis ``u' = V^{-1} u`` each
-    mode is ``u'_i = (V^{-1} g)_i / (factor exp(i psi) - mu_i)``, and
-    ``u = V u'``.
+    manifold equation of order m.  Both are ``_solve_eigenbasis`` with
+    ``A = [[factor]]``.
     """
-    mu, V = np.linalg.eig(np.asarray(B, dtype=float))
-    mesh = g.mesh
-    den = factor * mode_phases(mesh, rho)[..., None] - mu
-    _check_divisors(den, V, 1, mesh, "cohomological")
-    u = ((g.coeffs @ np.linalg.inv(V).T) / den) @ V.T
-    return FourierField(mesh, g.n, coeffs=u)
+    return _solve_eigenbasis(g[..., None], mesh, B, np.array([[factor]]), rho)[..., 0]
 
 
-def solve_coho_floquet(Rt_values: np.ndarray, mesh: MeshSpec, B: np.ndarray, rho) -> np.ndarray:
-    """Solve ``H(theta+rho) B - B H(theta) = Rtilde(theta)`` with Avg(H) = 0.
+def solve_coho_floquet(R: np.ndarray, mesh: MeshSpec, B, rho) -> np.ndarray:
+    """Solve ``H(theta+rho) B - B H(theta) = R(theta)`` with Avg(H) = 0 on
+    grid values: the zero-average R and the returned H have shape mesh + (n, n).
 
-    ``Rt_values`` are grid values of the zero-average right-hand side, shape
-    mesh + (n, n).  In the eigenbasis ``H' = V^{-1} H V`` each entry of a
-    mode is ``H'_ij = (V^{-1} R V)_ij / (exp(i psi) mu_j - mu_i)``, and
-    ``H = V H' V^{-1}``; the kappa = 0 mode is zero (H has zero average).
-    Returns the grid values of H, shape mesh + (n, n).
+    This is ``_solve_eigenbasis`` with ``A = B``.
     """
-    mu, V = np.linalg.eig(np.asarray(B, dtype=float))
-    n = mu.size
-    rhat = FourierField.from_values(mesh, Rt_values.reshape(mesh.shape + (n * n,))).coeffs
-    den = mode_phases(mesh, rho)[..., None, None] * mu - mu[:, None]
-    den[(0,) * mesh.d] = np.inf  # the kappa = 0 mode divides to zero and is not checked
-    _check_divisors(den, V, 2, mesh, "Floquet")
-    V_inv = np.linalg.inv(V)
-    # einsum contracts the stacked n x n products through BLAS; a stacked
-    # matmul over the modes is several times slower at small n
-    similar = "ij,...jk,kl->...il"
-    R_eig = np.einsum(similar, V_inv, rhat.reshape(mesh.cshape + (n, n)), V, optimize=True)
-    hhat = np.einsum(similar, V, R_eig / den, V_inv, optimize=True)
-    hfield = FourierField(mesh, n * n, coeffs=hhat.reshape(mesh.cshape + (n * n,)))
-    return hfield.values.reshape(mesh.shape + (n, n))
+    return _solve_eigenbasis(R, mesh, B, B, rho, zero_mean=True)
 
 
 # -- diagnostics -----------------------------------------------------------
@@ -269,9 +263,8 @@ def torus_correction(
     the resonance monitor).
     """
     mesh = phi.mesh
-    g = FourierField.from_values(mesh, -_matvec(C_inv_shift, y_grid))
-    u = solve_cohomological(g, B, rho, 1.0)
-    h_vals = _matvec(C, u.values)
+    u = solve_cohomological(-_matvec(C_inv_shift, y_grid), mesh, B, rho)
+    h_vals = _matvec(C, u)
     h = FourierField.from_values(mesh, h_vals)
     return FourierField.from_values(mesh, phi.values + h_vals), h
 

@@ -303,6 +303,25 @@ class TestManifoldCommand:
             assert entry["estimated_radius"] == 0.05
             assert max(entry["order_errors"]) <= 1e-10
 
+    def test_order_one_reports_are_strict_json(self, run_dir, tmp_path):
+        # an order-1 expansion has no order >= 2 to estimate a radius from:
+        # the report says null, not the non-JSON Infinity
+        out, _ = run_dir
+        config = tmp_path / "order1.ini"
+        config.write_text(
+            CONFIG_D1.replace("order = 3", "order = 1").replace("scaling = 1.0", "scaling = auto")
+        )
+        argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--resume", str(out / "torus")]) in (0, 1)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        json.loads((out / "torus_report.json").read_text(), parse_constant=refuse)
+        report = json.loads((tmp_path / "manifold_report.json").read_text(), parse_constant=refuse)
+        for branch in ("unstable", "stable"):
+            assert report["branches"][branch]["estimated_radius"] is None
+
 
 class TestVerifyCommand:
     def test_fresh_artifacts_pass(self, run_dir):

@@ -8,9 +8,10 @@ README, every function parameter and local name is read, the map
 layer imports nothing from the algorithm layer, no module reads the
 environment, no function outside ``fourier.analyze`` and
 ``fourier.synthesize`` runs an FFT, nothing outside ``LiftedMap._sweep``
-calls ``flowmap.section_map``, every name the benchmark's tracer wraps
-still exists and reads its sizes where they are, and the benchmark's CLI
-config still loads.
+calls ``flowmap.section_map``, nothing outside ``torus._solve_eigenbasis``
+and ``manifold.eigen_pick`` takes ``eig`` or ``cond``, every name the
+benchmark's tracer wraps still exists and reads its sizes where they are,
+and the benchmark's CLI config still loads.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -394,6 +395,35 @@ def test_section_map_runs_only_in_the_lifted_sweep(path):
         and not any(node.lineno in lines for lines in owners)
     ]
     assert not found, f"{path.name}: section_map outside LiftedMap._sweep: {', '.join(found)}"
+
+
+# the functions that may take an eigendecomposition or a condition number
+_EIGEN_OWNERS = {("torus.py", "_solve_eigenbasis"), ("manifold.py", "eigen_pick")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_eig_runs_only_in_the_eigenbasis_solve(path):
+    # the torus, Floquet and manifold equations share one eigenbasis solve;
+    # an eig or cond elsewhere would start a second one (eigvals is allowed)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = [
+        range(fn.lineno, fn.end_lineno + 1)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in _EIGEN_OWNERS
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("linalg"):
+            found += [a.name for a in node.names if a.name in ("eig", "cond")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("eig", "cond")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+            and not any(node.lineno in lines for lines in owners)
+        ):
+            found.append(f"line {node.lineno} linalg.{node.attr}")
+    assert not found, f"{path.name}: eig or cond outside the eigenbasis solve: {', '.join(found)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

@@ -65,23 +65,6 @@ class TestLift:
         lift = LiftedMap(P)
         assert np.allclose(lift.rho, P.rho_section)
 
-    def test_cyclic_block_permutation(self):
-        # block row j of the lifted image must hold section map j-1 applied
-        # to block j-1 of the input (cyclically): checked by routing a
-        # recognizable state through one section at a time
-        field, mesh, P = pendulum_setup(1, 31, r=3)
-        lift = LiftedMap(P)
-        rng = np.random.default_rng(1)
-        x = np.tile([np.pi, 0.0], 3) + 0.02 * rng.standard_normal((1, 6))
-        theta = rng.random((1, 1))
-        out = lift.images(x, theta)
-        for j in range(1, 4):
-            src = slice((j - 1) * 2, j * 2)
-            dst_j = j % 3 + 1
-            dst = slice((dst_j - 1) * 2, dst_j * 2)
-            expected = section_map(P, j, x[:, src, None], theta, jets.REAL)[..., 0]
-            assert np.abs(out[:, dst] - expected).max() < 1e-14
-
     def test_inverse_roundtrip(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)
         lift = LiftedMap(P)

@@ -72,29 +72,29 @@ def solve_with_conditioning(outcome, solve):
         return solve()
 
 
-def torus_residual(u, B, rho, g):
-    lhs = u.shift(rho).values
-    rhs = np.einsum("ij,...j->...i", B, u.values) + g.values
+def torus_residual(u, mesh, B, rho, g):
+    lhs = shift_grid(u, mesh, rho)
+    rhs = np.einsum("ij,...j->...i", B, u) + g
     return np.abs(lhs - rhs).max()
 
 
 class TestCohoTorus:
     def test_constant_input(self):
         mesh = MeshSpec((5,))
-        g = FourierField.from_values(mesh, np.full(mesh.shape + (1,), 3.0))
-        u = solve_cohomological(g, np.array([[0.5]]), np.array([0.37]))
+        g = np.full(mesh.shape + (1,), 3.0)
+        u = solve_cohomological(g, mesh, np.array([[0.5]]), np.array([0.37]))
         # DC block: u = g / (1 - 0.5)
-        assert np.abs(u.values - 6.0).max() < 1e-13
+        assert np.abs(u - 6.0).max() < 1e-13
 
     def test_single_mode_residual(self):
         mesh = MeshSpec((31,))
         theta = mesh.grid()[:, 0]
         # one radian is 1/(2 pi) of a turn
         rho = np.array([1.0 / (2 * np.pi)])
-        g = FourierField.from_values(mesh, np.cos(2 * np.pi * theta)[:, None])
+        g = np.cos(2 * np.pi * theta)[:, None]
         B = np.array([[0.5]])
-        u = solve_cohomological(g, B, rho)
-        assert torus_residual(u, B, rho, g) < 1e-13
+        u = solve_cohomological(g, mesh, B, rho)
+        assert torus_residual(u, mesh, B, rho, g) < 1e-13
 
     def test_random_hyperbolic_residual(self):
         rng = np.random.default_rng(0)
@@ -103,33 +103,35 @@ class TestCohoTorus:
             n = B.shape[0]
             mesh = MeshSpec((11, 9))
             rho = rng.random(2)
-            g = FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (n,)))
-            u = solve_cohomological(g, B, rho)
-            assert torus_residual(u, B, rho, g) < 1e-12
+            g = rng.standard_normal(mesh.shape + (n,))
+            u = solve_cohomological(g, mesh, B, rho)
+            assert torus_residual(u, mesh, B, rho, g) < 1e-12
 
     def test_resonant_block_raises(self):
         # B with eigenvalue 1 makes the DC block exactly singular
         mesh = MeshSpec((5,))
-        g = FourierField.from_values(mesh, np.ones(mesh.shape + (1,)))
+        g = np.ones(mesh.shape + (1,))
         with pytest.raises(ResonanceError) as err:
-            solve_cohomological(g, np.array([[1.0]]), np.array([0.3]))
+            solve_cohomological(g, mesh, np.array([[1.0]]), np.array([0.3]))
         assert err.value.kappa == (0,)
 
     def test_small_divisor_warns(self):
         mesh = MeshSpec((5,))
-        g = FourierField.from_values(mesh, np.ones(mesh.shape + (1,)))
-        with pytest.warns(RuntimeWarning, match="small divisor"):
-            solve_cohomological(g, np.array([[1.0 + 1e-10]]), np.array([0.3]))
+        g = np.ones(mesh.shape + (1,))
+        with pytest.warns(RuntimeWarning, match="small divisor") as record:
+            solve_cohomological(g, mesh, np.array([[1.0 + 1e-10]]), np.array([0.3]))
+        # the warning points at the solver's caller, not into torus.py
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("delta, outcome", TORUS_CONDITIONING)
     def test_eigenbasis_conditioning(self, delta, outcome):
         mesh = MeshSpec((5,))
-        g = FourierField.from_values(mesh, np.random.default_rng(3).standard_normal((5, 2)))
+        g = np.random.default_rng(3).standard_normal((5, 2))
         B = np.array([[2.0, 1.0], [0.0, 2.0 + delta]])
         rho = np.array([0.3])
-        u = solve_with_conditioning(outcome, lambda: solve_cohomological(g, B, rho))
+        u = solve_with_conditioning(outcome, lambda: solve_cohomological(g, mesh, B, rho))
         if outcome == "quiet":  # round-off grows like cond(V) * eps
-            assert torus_residual(u, B, rho, g) < 1e-8
+            assert torus_residual(u, mesh, B, rho, g) < 1e-8
 
 
 class TestCohoFloquet:
@@ -163,6 +165,16 @@ class TestCohoFloquet:
         R -= R.reshape(-1, 2, 2).mean(axis=0)
         with pytest.raises(ResonanceError):
             solve_coho_floquet(R, mesh, B, np.array([0.0]))
+
+    def test_small_divisor_warns(self):
+        # cond(V) about 2e6 counts twice in the Floquet rule
+        mesh = MeshSpec((5,))
+        R = np.random.default_rng(4).standard_normal(mesh.shape + (2, 2))
+        R -= R.reshape(-1, 2, 2).mean(axis=0)
+        B = np.array([[2.0, 1.0], [0.0, 2.0 + 1e-6]])
+        with pytest.warns(RuntimeWarning, match="small divisor") as record:
+            solve_coho_floquet(R, mesh, B, np.array([0.3]))
+        assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("delta, outcome", FLOQUET_CONDITIONING)
     def test_eigenbasis_conditioning(self, delta, outcome):

@@ -4,9 +4,12 @@ Runs are described by a plain INI config file (see ``example_config`` below)
 so an experiment is a diff-able text record.  The file is the only source of
 run settings besides the command line: ``_KEYS`` lists every key it may hold,
 and ``--threads`` overrides ``[run] threads``.  The model is the built-in
-forced pendulum; other fields run through the Python API.  Every command
-writes a machine-readable JSON report plus a human log into the output
-directory.  Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
+forced pendulum; other fields run through the Python API.  The config is
+checked and the run (mesh and lift) built before anything is written.
+``torus``, ``manifold`` and ``verify`` end with a machine-readable JSON
+report plus a human log in the output directory when they exit 0 or 1;
+``slice`` writes only its CSV, and a run that stops with exit 2-6 writes
+neither.  Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
 3 resonance, 4 unsupported spectrum, 5 unreadable or mismatched artifact,
 config or command line, or an output that cannot be written, 6 integration
 failure.
@@ -27,7 +30,7 @@ import numpy as np
 from . import models, parallel
 from .errors import ArtifactError, QptoriError
 from .flowmap import PoincareSpec
-from .fourier import FourierField, MeshSpec
+from .fourier import MeshSpec
 from .manifold import ManifoldExpansion, estimate_radius, stable_expansion, unstable_expansion
 from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
@@ -62,8 +65,12 @@ test_tol = 1e-10
 """
 
 
-def _words(cast):
-    return lambda text: tuple(cast(word) for word in text.split())
+def _words(cast, sep=None):
+    def words(text):
+        return tuple(cast(word) for word in text.split(sep))
+
+    words.__name__ = f"{cast.__name__} list"  # argparse's usage error names the type by it
+    return words
 
 
 def _scaling(text: str) -> str | float:
@@ -131,14 +138,11 @@ class RunConfig:
         """Refuse values that a run would otherwise trip over only after computing."""
         if self.model != "pendulum":
             raise ValueError(f"unknown model {self.model!r}; the command line runs the pendulum")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.manifold_order < 1:
             raise ValueError("order must be at least 1")
         NewtonConfig(tol=self.newton_tol, max_iter=self.max_iter)  # refuses its own bad values
-        for name, tol in (("integrator tol", self.integrator_tol), ("test_tol", self.test_tol)):
-            if not 0.0 < tol < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if not 0.0 < self.test_tol < np.inf:
+            raise ValueError(f"test_tol must be positive and finite, got {self.test_tol}")
         if not self.branches:
             raise ValueError("branches must name unstable and/or stable")
         for branch in self.branches:
@@ -170,18 +174,18 @@ class RunConfig:
         return cfg
 
 
-def _build_map(cfg: RunConfig):
+def _build_map(cfg: RunConfig) -> tuple[MeshSpec, LiftedMap]:
+    """The configured run's mesh and lift; a value that they refuse is an
+    ``ArtifactError``."""
     try:
         field = models.pendulum_field(**cfg.model_params)
         mesh = MeshSpec(cfg.mesh)
         # sections = 1 is the r = 1 lift, the plain return map
         lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
+        if mesh.d != field.d:
+            raise ValueError(f"mesh has {mesh.d} angles but the model forces {field.d}")
     except ValueError as exc:
         raise ArtifactError(f"bad config: {exc}") from exc
-    if mesh.d != field.d:
-        raise ArtifactError(
-            f"mesh has {mesh.d} angles but the model forces {field.d}"
-        )
     return mesh, lift
 
 
@@ -213,15 +217,26 @@ def _timing(t0: float) -> dict:
 
 def _finish(out: Path, name: str, report: dict, log: _Log) -> None:
     with open(out / f"{name}_report.json", "w") as fh:
-        json.dump(report, fh, indent=1, default=str)
+        json.dump(report, fh, indent=1)
     log.flush()
 
 
-def _check_artifact(
-    art: TorusSolution | ManifoldExpansion, prefix: str, mesh: MeshSpec, lift: LiftedMap
-) -> None:
-    """Refuse a torus or manifold artifact whose mesh, state size or rotation
-    (the section count and the frequencies) differ from the configured run."""
+def _load_artifact(
+    prefix: str, run: tuple[MeshSpec, LiftedMap] | None = None, torus_only: bool = False
+) -> TorusSolution | ManifoldExpansion:
+    """The torus or manifold artifact at ``prefix``, told apart by the files
+    found there (``torus_only`` reads a torus).  Given the configured run's
+    ``(mesh, lift)``, refuse an artifact whose mesh, state size or rotation
+    (the section count and the frequencies) differ from it."""
+    if torus_only or Path(f"{prefix}.phi.bin").exists():
+        art = TorusSolution.load(prefix)
+    elif Path(f"{prefix}.a0.bin").exists():
+        art = ManifoldExpansion.load(prefix)
+    else:
+        raise ArtifactError(f"no artifact found at prefix {prefix}")
+    if run is None:
+        return art
+    mesh, lift = run
     if art.mesh.shape != mesh.shape:
         raise ArtifactError(
             f"artifact {prefix} mesh {art.mesh.shape} does not match "
@@ -235,14 +250,14 @@ def _check_artifact(
             f"artifact {prefix} (n={art.n}, rho={art.rho.tolist()}) does not match "
             f"the configured map (n={lift.n}, rho={rho.tolist()}, sections={lift.r})"
         )
+    return art
 
 
-def cmd_torus(cfg: RunConfig, out: Path, resume: str | None) -> int:
-    mesh, lift = _build_map(cfg)
+def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
+    mesh, lift = run
     log = _Log(out / "torus.log")
     if resume:
-        prev = TorusSolution.load(resume)
-        _check_artifact(prev, resume, mesh, lift)
+        prev = _load_artifact(resume, run, torus_only=True)
         phi0, C0, B0 = prev.phi, prev.C, prev.B
         log(f"seed: previous run {resume}")
     else:
@@ -295,11 +310,9 @@ def _manifold_tests(exp: ManifoldExpansion, lift: LiftedMap, tol: float) -> list
     return [test_tail(exp.coeffs[-1], tol), test_order(exp, lift)]
 
 
-def cmd_manifold(cfg: RunConfig, out: Path, resume: str | None) -> int:
-    mesh, lift = _build_map(cfg)
-    prefix = resume or str(out / "torus")
-    sol = TorusSolution.load(prefix)
-    _check_artifact(sol, prefix, mesh, lift)
+def cmd_manifold(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
+    _, lift = run
+    sol = _load_artifact(resume or str(out / "torus"), run, torus_only=True)
     log = _Log(out / "manifold.log")
     parallel.profile.reset()
     t0 = time.perf_counter()
@@ -359,10 +372,10 @@ def _slice_thetas(mesh: MeshSpec, axis: int, fixed=(), count: int | None = None)
     return thetas
 
 
-def _slice_torus_csv(phi: FourierField, path, thetas: np.ndarray, axis: int) -> None:
+def _slice_torus_csv(sol: TorusSolution, path, thetas: np.ndarray, axis: int) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join([f"theta{axis}"] + [f"x{i}" for i in range(phi.n)]) + "\n")
-        for th, v in zip(thetas[:, axis - 1], phi.evaluate(thetas)):
+        fh.write(",".join([f"theta{axis}"] + [f"x{i}" for i in range(sol.n)]) + "\n")
+        for th, v in zip(thetas[:, axis - 1], sol.phi.evaluate(thetas)):
             fh.write(",".join([f"{th:.17e}"] + [f"{c:.17e}" for c in v]) + "\n")
 
 
@@ -377,28 +390,17 @@ def _slice_manifold_csv(exp: ManifoldExpansion, path, thetas: np.ndarray, axis: 
                 fh.write(",".join(row) + "\n")
 
 
-def _artifact_kind(prefix: str) -> str:
-    """``torus`` or ``manifold``, by the files found at the artifact prefix."""
-    if Path(f"{prefix}.phi.bin").exists():
-        return "torus"
-    if Path(f"{prefix}.a0.bin").exists():
-        return "manifold"
-    raise ArtifactError(f"no artifact found at prefix {prefix}")
-
-
-def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
-    mesh, lift = _build_map(cfg)
+def cmd_verify(cfg: RunConfig, run: tuple, out: Path, artifacts: list[str]) -> int:
+    _, lift = run
     log = _Log(out / "verify.log")
     reports = []
     ok = True
     for prefix in artifacts:
-        kind = _artifact_kind(prefix)
-        art = (TorusSolution if kind == "torus" else ManifoldExpansion).load(prefix)
-        _check_artifact(art, prefix, mesh, lift)
-        if kind == "torus":
-            tests = torus_suite(lift, art.phi, cfg.test_tol)
+        art = _load_artifact(prefix, run)
+        if isinstance(art, TorusSolution):
+            kind, tests = "torus", torus_suite(lift, art.phi, cfg.test_tol)
         else:
-            tests = _manifold_tests(art, lift, cfg.test_tol)
+            kind, tests = "manifold", _manifold_tests(art, lift, cfg.test_tol)
         log(f"{kind} {prefix}:")
         for t in tests:
             log(f"  {t}")
@@ -409,19 +411,9 @@ def cmd_verify(cfg: RunConfig, out: Path, artifacts: list[str]) -> int:
 
 
 def cmd_slice(args) -> int:
-    prefix = args.artifact
-    try:
-        fixed = [float(v) for v in args.fixed.split(",")] if args.fixed else []
-    except ValueError as exc:
-        raise ArtifactError(f"--fixed takes comma-separated numbers: {exc}") from exc
-    if _artifact_kind(prefix) == "torus":
-        try:
-            art, write = FourierField.load(f"{prefix}.phi.bin"), _slice_torus_csv
-        except (OSError, ValueError) as exc:
-            raise ArtifactError(f"cannot read torus artifact {prefix}: {exc}") from exc
-    else:
-        art, write = ManifoldExpansion.load(prefix), _slice_manifold_csv
-    thetas = _slice_thetas(art.mesh, args.axis, fixed, args.count)
+    art = _load_artifact(args.artifact)
+    write = _slice_torus_csv if isinstance(art, TorusSolution) else _slice_manifold_csv
+    thetas = _slice_thetas(art.mesh, args.axis, args.fixed, args.count)
     write(art, args.output, thetas, args.axis)
     return 0
 
@@ -460,7 +452,9 @@ def main(argv=None) -> int:
     ps = sub.add_parser("slice", help="tabulate a torus or manifold slice as CSV")
     ps.add_argument("artifact", help="artifact prefix")
     ps.add_argument("--axis", type=int, default=1, help="angle index to sweep (1-based)")
-    ps.add_argument("--fixed", default="", help="comma-separated values of the other angles")
+    ps.add_argument(
+        "--fixed", type=_words(float, ","), default=(), help="the other angles, comma-separated"
+    )
     ps.add_argument("--count", type=int, default=None, help="number of sweep points")
     ps.add_argument("--output", default="slice.csv", help="CSV output path")
 
@@ -469,17 +463,18 @@ def main(argv=None) -> int:
         if args.command == "slice":
             return cmd_slice(args)
         cfg = RunConfig.from_file(args.config)
-        threads = cfg.threads if args.threads is None else args.threads
-        if threads < 1:
-            raise ArtifactError(f"--threads must be at least 1, got {threads}")
-        parallel.set_workers(threads)
+        run = _build_map(cfg)
+        try:
+            parallel.set_workers(cfg.threads if args.threads is None else args.threads)
+        except ValueError as exc:
+            raise ArtifactError(f"bad config or --threads: {exc}") from exc
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "torus":
-            return cmd_torus(cfg, out, args.resume)
+            return cmd_torus(cfg, run, out, args.resume)
         if args.command == "manifold":
-            return cmd_manifold(cfg, out, args.resume)
-        return cmd_verify(cfg, out, args.artifacts)
+            return cmd_manifold(cfg, run, out, args.resume)
+        return cmd_verify(cfg, run, out, args.artifacts)
     except OSError as exc:  # reads are refused where artifacts load: this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return ArtifactError.exit_code

@@ -53,7 +53,8 @@ def run_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def d2_artifacts(tmp_path_factory):
-    """Small synthetic d=2 torus and manifold artifacts for the slice checks."""
+    """Small synthetic d=2 torus and manifold artifacts for the slice checks;
+    both are whole, so a refusal comes from the argument under test."""
     out = tmp_path_factory.mktemp("d2")
     mesh = MeshSpec((5, 7))
     rng = np.random.default_rng(3)
@@ -61,7 +62,8 @@ def d2_artifacts(tmp_path_factory):
         FourierField.from_values(mesh, rng.standard_normal(mesh.shape + (2,)))
         for _ in range(3)
     ]
-    fields[0].save(out / "torus.phi.bin")
+    C = np.broadcast_to(np.eye(2), mesh.shape + (2, 2))
+    TorusSolution(fields[0], C, np.diag([2.0, 0.5]), np.array([0.3, 0.4])).save(str(out / "torus"))
     exp = ManifoldExpansion(
         "unstable", 2.0, np.array([1.0, 0.0]), fields, 1.0, np.array([0.3, 0.4])
     )
@@ -140,16 +142,17 @@ class TestConfig:
         ],
     )
     def test_bad_config_refused(self, tmp_path, capsys, old, new):
-        # refused before any computation: exit 5 and one error line, no traceback
+        # refused before anything is done: exit 5 and one error line, no
+        # traceback, and no output directory made
         assert old in CONFIG_D1
         config = tmp_path / "bad.ini"
         config.write_text(CONFIG_D1.replace(old, new))
-        rc = cli.main(["torus", "--config", str(config), "--out", str(tmp_path)])
+        rc = cli.main(["torus", "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 5
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not (tmp_path / "torus.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -448,7 +451,10 @@ class TestSliceCommand:
         ],
     )
     def test_corrupt_torus_artifact(self, run_dir, tmp_path, capsys, damage):
+        # the damaged phi is the artifact's only fault
         out, _ = run_dir
+        for suffix in (".C.bin", ".json"):
+            shutil.copy(out / f"torus{suffix}", tmp_path / f"torus{suffix}")
         raw = (out / "torus.phi.bin").read_bytes()
         (tmp_path / "torus.phi.bin").write_bytes(damage(raw))
         rc = cli.main(["slice", str(tmp_path / "torus"), "--output", str(tmp_path / "s.csv")])
@@ -477,7 +483,7 @@ class TestSliceCommand:
 
     @pytest.mark.parametrize("name", ["torus", "manifold_unstable"])
     @pytest.mark.parametrize(
-        "args",
+        "args",  # each refusal names the argument at fault, args[0]
         [
             ["--axis", "3"],
             ["--axis", "0"],
@@ -505,6 +511,7 @@ class TestSliceCommand:
         assert cli.main(argv) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert args[0] in err
         assert not dest.exists()
 
     @pytest.mark.parametrize("name", ["torus", "manifold_unstable"])
@@ -512,7 +519,7 @@ class TestSliceCommand:
         dest = tmp_path / "missing" / "s.csv"
         assert cli.main(["slice", str(d2_artifacts / name), "--output", str(dest)]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
 def _ones_field(mesh, n):
@@ -547,6 +554,12 @@ class TestCorruptMetadata:
         argv = ["verify", "--config", str(config), "--out", str(tmp_path), str(prefix)]
         assert cli.main(argv) == 5
         assert capsys.readouterr().err.startswith("error: ")
+        # slice reads the whole artifact too, not just its coefficients
+        dest = tmp_path / "s.csv"
+        assert cli.main(["slice", str(prefix), "--output", str(dest)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not dest.exists()
 
     @pytest.mark.parametrize(
         "damage",

@@ -9,7 +9,9 @@ layer imports nothing from the algorithm layer, no module reads the
 environment, no function outside ``fourier.analyze`` and
 ``fourier.synthesize`` runs an FFT, nothing outside ``LiftedMap._sweep``
 calls ``flowmap.section_map``, nothing outside ``torus._solve_eigenbasis``
-and ``manifold.eigen_pick`` takes ``eig`` or ``cond``, every name the
+and ``manifold.eigen_pick`` takes ``eig`` or ``cond``, the CLI reads
+artifacts only in ``cli._load_artifact`` and builds the run only in
+``cli.main``, every name the
 benchmark's tracer wraps still exists and reads its sizes where they are,
 and the benchmark's CLI config still loads.
 
@@ -424,6 +426,39 @@ def test_eig_runs_only_in_the_eigenbasis_solve(path):
         ):
             found.append(f"line {node.lineno} linalg.{node.attr}")
     assert not found, f"{path.name}: eig or cond outside the eigenbasis solve: {', '.join(found)}"
+
+
+# the one function in cli.py that may make each call: the artifact reader
+# loads, and main builds the run, once, before anything is written
+_CLI_OWNERS = {
+    "TorusSolution.load": "_load_artifact",
+    "ManifoldExpansion.load": "_load_artifact",
+    "FourierField.load": "_load_artifact",
+    "_build_map": "main",
+}
+
+
+def test_cli_reads_and_builds_in_one_place():
+    # a second read path could skip the checks of the whole artifact or of
+    # the configured run; a second build would check the config after --out
+    tree = ast.parse((SRC / "cli.py").read_text())
+    owners = {
+        fn.name: range(fn.lineno, fn.end_lineno + 1)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = f"{func.value.id}.{func.attr}"
+        else:
+            name = getattr(func, "id", None)
+        if name in _CLI_OWNERS and node.lineno not in owners[_CLI_OWNERS[name]]:
+            found.append(f"line {node.lineno} {name}")
+    assert not found, f"cli.py: a read or a build outside its one place: {', '.join(found)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

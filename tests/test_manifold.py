@@ -176,7 +176,7 @@ class TestExpansions:
             unstable_expansion(sol, qpmap, m=0)
 
 
-class TestRescale:
+class TestRadius:
     """The radius estimate by which ``scaling = auto`` rescales sigma."""
 
     def test_radius_of_geometric_series(self):

@@ -109,7 +109,7 @@ _KEYS = {
 class RunConfig:
     model: str = "pendulum"
     model_params: dict = dc_field(default_factory=dict)
-    mesh: tuple = (31, 31)
+    mesh: tuple | None = None  # N = 31 on each of the model's angles
     newton_tol: float = 1e-10
     max_iter: int = 12
     integrator_tol: float = 1e-14
@@ -179,7 +179,7 @@ def _build_map(cfg: RunConfig) -> tuple[MeshSpec, LiftedMap]:
     ``ArtifactError``."""
     try:
         field = models.pendulum_field(**cfg.model_params)
-        mesh = MeshSpec(cfg.mesh)
+        mesh = MeshSpec(cfg.mesh or (31,) * field.d)
         # sections = 1 is the r = 1 lift, the plain return map
         lift = LiftedMap(PoincareSpec(field, tol=cfg.integrator_tol, r=cfg.sections))
         if mesh.d != field.d:
@@ -282,7 +282,7 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
         "command": "torus",
         "model": cfg.model,
         "model_params": cfg.model_params,
-        "mesh": list(cfg.mesh),
+        "mesh": list(mesh.shape),
         "sections": cfg.sections,
         **timing,
         "solution": sol.report(),

@@ -109,10 +109,10 @@ class ManifoldExpansion:
                     f"manifold artifact {prefix} has format {meta.get('format')}, "
                     f"expected {_FORMAT}; recompute it"
                 )
-            coeffs = [
-                FourierField.load(f"{prefix}.a{k}.bin")
-                for k in range(int(meta["order"]) + 1)
-            ]
+            order = meta["order"]
+            if type(order) is not int:  # json reads 2.5 as a float and true as a bool
+                raise ValueError(f"order is {order!r}, not an integer")
+            coeffs = [FourierField.load(f"{prefix}.a{k}.bin") for k in range(order + 1)]
             exp = cls(
                 branch=meta["branch"],
                 lam=float(meta["lambda"]),

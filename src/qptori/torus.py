@@ -34,8 +34,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import fourier  # analyze and synthesize looked up per call, where a tracer wraps them
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, MeshSpec, analyze, mode_phases, shift_grid, synthesize
+from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -104,7 +105,11 @@ class TorusSolution:
             cfield = FourierField.load(f"{prefix}.C.bin")
             with open(f"{prefix}.json") as fh:
                 meta = json.load(fh)
-            n = int(meta["n"])
+            if not isinstance(meta, dict):
+                raise ValueError(f"{prefix}.json holds no JSON object")
+            n = meta["n"]
+            if type(n) is not int:  # json reads 2.7 as a float and true as a bool
+                raise ValueError(f"n is {n!r}, not an integer")
             B = np.array(meta["B"], dtype=float)
             rho = np.array(meta["rho"], dtype=float)
             history = meta.get("history", [])
@@ -179,8 +184,8 @@ def _solve_eigenbasis(G: np.ndarray, mesh: MeshSpec, B, A, rho, zero_mean=False)
     # einsum contracts the stacked products through BLAS; a stacked matmul
     # over the modes is several times slower at small n
     similar = "ij,...jk,kl->...il"
-    Y = np.einsum(similar, np.linalg.inv(V), analyze(G, mesh.d), W, optimize=True) / den
-    return synthesize(np.einsum(similar, V, Y, np.linalg.inv(W), optimize=True), mesh)
+    Y = np.einsum(similar, np.linalg.inv(V), fourier.analyze(G, mesh.d), W, optimize=True) / den
+    return fourier.synthesize(np.einsum(similar, V, Y, np.linalg.inv(W), optimize=True), mesh)
 
 
 def solve_cohomological(g: np.ndarray, mesh: MeshSpec, B, rho, factor: float = 1.0) -> np.ndarray:

@@ -211,6 +211,15 @@ class TestTorusCommand:
         report = json.loads((out / "torus_report.json").read_text())
         assert 0.0 < report["profile"]["map_eval_fraction"] <= 1.0
 
+    def test_mesh_defaults_to_each_angle_of_the_model(self, run_dir, tmp_path):
+        # without [mesh], N = 31 on each of the d = 1 model's angles
+        out, _ = run_dir
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_D1.replace("[mesh]\nN = 31\n", ""))
+        argv = ["torus", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--resume", str(out / "torus")]) == 0
+        assert json.loads((tmp_path / "torus_report.json").read_text())["mesh"] == [31]
+
 
 class TestResume:
     def _resume(self, run_dir, tmp_path, config_text):
@@ -565,6 +574,7 @@ class TestCorruptMetadata:
         "damage",
         [
             lambda meta, path: meta.pop("n"),
+            lambda meta, path: meta.update(n=2.7),
             lambda meta, path: meta.update(n=3),
             _n_against_phi,
             lambda meta, path: meta.update(B=np.eye(3).tolist()),
@@ -576,6 +586,7 @@ class TestCorruptMetadata:
         ],
         ids=[
             "no-n",
+            "n-not-integer",
             "n-against-C",
             "n-against-phi",
             "B-not-n-by-n",
@@ -625,6 +636,7 @@ class TestCorruptMetadata:
             lambda meta, path: meta.update(v=[1.0, 0.0, 0.0]),
             lambda meta, path: meta.update(rho=[0.4, 0.2]),
             lambda meta, path: meta.update(order=0),
+            lambda meta, path: meta.update(order=2.5),
             lambda meta, path: meta.update({"lambda": np.nan}),
             lambda meta, path: meta.update({"lambda": 2.0}),
             lambda meta, path: meta.update({"lambda": 0.0}),
@@ -641,6 +653,7 @@ class TestCorruptMetadata:
             "v-length",
             "rho-length",
             "order-0",
+            "order-not-integer",
             "lambda-nan",
             "lambda-outside-circle",
             "lambda-0",

@@ -4,16 +4,10 @@ declared dependency, importing the CLI loads neither scipy nor the process
 pool, every private module-level function, class or constant is read in
 its own module, every public one (and every public method or property) is
 read somewhere in the package or documented in ``qptori.__all__`` or the
-README, every function parameter and local name is read, the map
-layer imports nothing from the algorithm layer, no module reads the
-environment, no function outside ``fourier.analyze`` and
-``fourier.synthesize`` runs an FFT, nothing outside ``LiftedMap._sweep``
-calls ``flowmap.section_map``, nothing outside ``torus._solve_eigenbasis``
-and ``manifold.eigen_pick`` takes ``eig`` or ``cond``, the CLI reads
-artifacts only in ``cli._load_artifact`` and builds the run only in
-``cli.main``, every name the
-benchmark's tracer wraps still exists and reads its sizes where they are,
-and the benchmark's CLI config still loads.
+README, every function parameter and local name is read, each name that
+``_ONE_PLACE`` covers is read only by its owners, every name the
+benchmark's tracer wraps still exists, is called where it is wrapped and
+reads its sizes where they are, and the benchmark's CLI config still loads.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -21,6 +15,8 @@ the public re-exports.
 """
 
 import ast
+import fnmatch
+import functools
 import importlib
 import importlib.util
 import os
@@ -212,32 +208,160 @@ def test_public_names_are_read():
     assert not unread, f"public names neither read in src/ nor documented: {', '.join(unread)}"
 
 
-MAP_LAYER = ("errors", "fourier", "jets", "parallel", "flowmap", "models", "multishoot")
-ALGORITHM_LAYER = {"torus", "manifold", "verify", "cli"}
+# Decisions that one place owns, by rule: why the rule holds, the fnmatch
+# patterns of the dotted names it covers (as ``_reads`` spells them), and the
+# functions (file, qualified name) that may read them; no owner means
+# nowhere.  The test named after each rule picks the files it reads.
+_ONE_PLACE = {
+    "fft": (
+        "the benchmark counts FFTs (fourier.fft_calls) by wrapping fourier.analyze and "
+        "fourier.synthesize, so a transform anywhere else would go uncounted",
+        ("*.fft.*fft", "*.fft.*fft[2n]"),  # not fftfreq or fftshift: they transform nothing
+        {("fourier.py", "analyze"), ("fourier.py", "synthesize")},
+    ),
+    "section_map": (
+        "every grid sweep goes through LiftedMap's one route loop, so the lift alone knows "
+        "the section routes and the benchmark's section-map count sees every call",
+        ("qptori.flowmap.section_map",),
+        {("multishoot.py", "LiftedMap._sweep")},
+    ),
+    "eig": (
+        "the torus, Floquet and manifold equations share one eigenbasis solve; an eig or "
+        "cond elsewhere would start a second one (eigvals is allowed)",
+        ("*.linalg.eig", "*.linalg.cond"),
+        {("torus.py", "_solve_eigenbasis"), ("manifold.py", "eigen_pick")},
+    ),
+    "artifact_read": (
+        "a second read path could skip the checks of the whole artifact or of the run",
+        ("qptori.*.load",),  # TorusSolution, ManifoldExpansion and FourierField
+        {("cli.py", "_load_artifact")},
+    ),
+    "run_build": (
+        "a second build of the run would check the config after --out is made",
+        ("qptori.cli._build_map",),
+        {("cli.py", "main")},
+    ),
+    "environment": (
+        "run settings come from the config file and the command line only",
+        ("os.environ*", "os.getenv*"),
+        set(),
+    ),
+    "layering": (
+        "the map layer runs under the algorithms and imports nothing from them",
+        ("qptori.torus*", "qptori.manifold*", "qptori.verify*", "qptori.cli*"),
+        set(),
+    ),
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _imported_modules(tree: ast.Module) -> set[str]:
-    """Last dotted component of every qptori module imported anywhere in
-    the module, function-local imports included."""
-    found = set()
+def _source(node: ast.ImportFrom) -> str:
+    """The module a ``from`` import reads from; a relative one is in qptori."""
+    if not node.level:
+        return node.module
+    return "qptori" + (f".{node.module}" if node.module else "")
+
+
+def _aliases(tree: ast.Module) -> dict[str, str]:
+    """Each name an import binds anywhere in the module -> what it stands for."""
+    aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found |= {a.name.split(".")[-1] for a in node.names if a.name.startswith("qptori")}
+            for a in node.names:
+                bound = a.asname or a.name.partition(".")[0]
+                aliases[bound] = a.name if a.asname else bound
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and not (node.module or "").startswith("qptori"):
-                continue
-            if node.module and node.module != "qptori":
-                found.add(node.module.split(".")[-1])
-            else:  # from . import torus / from qptori import torus
-                found |= {a.name for a in node.names}
-    return found
+            aliases.update({a.asname or a.name: f"{_source(node)}.{a.name}" for a in node.names})
+    return aliases
 
 
-@pytest.mark.parametrize("name", MAP_LAYER)
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a name that is read or an attribute chain on one."""
+    if isinstance(node, ast.Name):
+        return node.id if isinstance(node.ctx, ast.Load) else None
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+@functools.cache
+def _reads(path: Path) -> list[tuple[str, str, int]]:
+    """Each dotted name the file reads, the qualified function that reads it
+    ("" at module level) and its line.  An alias reads what it stands for,
+    any other name the module's own, and an attribute chain on a name is one
+    read.  An import reads the module it loads: ``from .torus import X`` and
+    ``from . import torus`` both read ``qptori.torus``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = _aliases(tree)
+    module = "qptori" if path.stem == "__init__" else f"qptori.{path.stem}"
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Import):
+            reads.extend((a.name, scope, node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = _source(node)
+            loaded = [f"{source}.{a.name}" for a in node.names] if source == "qptori" else [source]
+            reads.extend((name, scope, node.lineno) for name in loaded)
+        dotted = _dotted(node)
+        if dotted:
+            head, _, tail = dotted.partition(".")
+            name = aliases.get(head, f"{module}.{head}")
+            reads.append((f"{name}.{tail}" if tail else name, scope, node.lineno))
+            return
+        # decorators, defaults and base classes run in the enclosing scope
+        body = node.body if isinstance(node, _DEFS) else []
+        inner = f"{scope}.{node.name}".lstrip(".") if body else scope
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if child in body else scope)
+
+    visit(tree, "")
+    return reads
+
+
+def _check_one_place(rule: str, path: Path) -> None:
+    why, patterns, owners = _ONE_PLACE[rule]
+    found = [
+        f"{path.name}:{line} {func or '<module>'} reads {name}"
+        for name, func, line in _reads(path)
+        if any(fnmatch.fnmatchcase(name, p) for p in patterns)
+        and not any(path.name == f and f"{func}.".startswith(f"{q}.") for f, q in owners)
+    ]
+    assert not found, f"{why}: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_fft_runs_only_in_analyze_and_synthesize(path):
+    _check_one_place("fft", path)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_section_map_runs_only_in_the_lifted_sweep(path):
+    _check_one_place("section_map", path)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_eig_runs_only_in_the_eigenbasis_solve(path):
+    _check_one_place("eig", path)
+
+
+def test_cli_reads_and_builds_in_one_place():
+    _check_one_place("artifact_read", SRC / "cli.py")
+    _check_one_place("run_build", SRC / "cli.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_environment_is_not_read(path):
+    _check_one_place("environment", path)
+
+
+@pytest.mark.parametrize(
+    "name", ("errors", "fourier", "jets", "parallel", "flowmap", "models", "multishoot")
+)
 def test_map_layer_does_not_import_algorithms(name):
-    tree = ast.parse((SRC / f"{name}.py").read_text())
-    upward = sorted(_imported_modules(tree) & ALGORITHM_LAYER)
-    assert not upward, f"{name}.py imports the algorithm layer: {', '.join(upward)}"
+    _check_one_place("layering", SRC / f"{name}.py")
 
 
 def _load_perfbench(name):
@@ -311,154 +435,20 @@ def test_perfbench_desk_config_loads(monkeypatch, tmp_path):
     assert cfg.threads == desk.workers
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_environment_is_not_read(path):
-    # run settings come from the config file and the command line only
-    tree = ast.parse(path.read_text(), filename=str(path))
-    knobs = {"environ", "getenv"}
-    reads = [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in knobs
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "os"
-        )
-        or (
-            isinstance(node, ast.ImportFrom)
-            and node.module == "os"
-            and knobs & {a.name for a in node.names}
-        )
-    ]
-    assert not reads, f"environment reads: {', '.join(reads)}"
-
-
-# numpy.fft names that compute no transform
-_FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_fft_runs_only_in_analyze_and_synthesize(path):
-    # the benchmark counts FFTs (fourier.fft_calls) by wrapping these two
-    # functions, so a transform anywhere else would go uncounted
-    tree = ast.parse(path.read_text(), filename=str(path))
-    owners = [
-        range(fn.lineno, fn.end_lineno + 1)
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        and path.name == "fourier.py"
-        and fn.name in ("analyze", "synthesize")
-    ]
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.startswith("numpy.fft")]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("numpy.fft"):
-                found.append(node.module)
-            elif node.module == "numpy":
-                found += [a.name for a in node.names if a.name == "fft"]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr not in _FFT_HELPERS
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "fft"
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id in ("np", "numpy")
-            and not any(node.lineno in lines for lines in owners)
-        ):
-            found.append(f"line {node.lineno} np.fft.{node.attr}")
-    assert not found, f"{path.name}: FFT outside analyze and synthesize: {', '.join(found)}"
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_section_map_runs_only_in_the_lifted_sweep(path):
-    # every grid sweep goes through LiftedMap's one route loop, so the lift
-    # is the only place that knows the section routes, and the benchmark's
-    # section-map count (multishoot.section_maps) sees every call
-    tree = ast.parse(path.read_text(), filename=str(path))
-    owners = [
-        range(fn.lineno, fn.end_lineno + 1)
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name == "LiftedMap"
-        and path.name == "multishoot.py"
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_sweep"
-    ]
-    found = [
-        f"line {node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Name) and node.func.id == "section_map")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "section_map")
-        )
-        and not any(node.lineno in lines for lines in owners)
-    ]
-    assert not found, f"{path.name}: section_map outside LiftedMap._sweep: {', '.join(found)}"
-
-
-# the functions that may take an eigendecomposition or a condition number
-_EIGEN_OWNERS = {("torus.py", "_solve_eigenbasis"), ("manifold.py", "eigen_pick")}
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_eig_runs_only_in_the_eigenbasis_solve(path):
-    # the torus, Floquet and manifold equations share one eigenbasis solve;
-    # an eig or cond elsewhere would start a second one (eigvals is allowed)
-    tree = ast.parse(path.read_text(), filename=str(path))
-    owners = [
-        range(fn.lineno, fn.end_lineno + 1)
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in _EIGEN_OWNERS
-    ]
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("linalg"):
-            found += [a.name for a in node.names if a.name in ("eig", "cond")]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in ("eig", "cond")
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "linalg"
-            and not any(node.lineno in lines for lines in owners)
-        ):
-            found.append(f"line {node.lineno} linalg.{node.attr}")
-    assert not found, f"{path.name}: eig or cond outside the eigenbasis solve: {', '.join(found)}"
-
-
-# the one function in cli.py that may make each call: the artifact reader
-# loads, and main builds the run, once, before anything is written
-_CLI_OWNERS = {
-    "TorusSolution.load": "_load_artifact",
-    "ManifoldExpansion.load": "_load_artifact",
-    "FourierField.load": "_load_artifact",
-    "_build_map": "main",
-}
-
-
-def test_cli_reads_and_builds_in_one_place():
-    # a second read path could skip the checks of the whole artifact or of
-    # the configured run; a second build would check the config after --out
-    tree = ast.parse((SRC / "cli.py").read_text())
-    owners = {
-        fn.name: range(fn.lineno, fn.end_lineno + 1)
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-    }
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            name = f"{func.value.id}.{func.attr}"
-        else:
-            name = getattr(func, "id", None)
-        if name in _CLI_OWNERS and node.lineno not in owners[_CLI_OWNERS[name]]:
-            found.append(f"line {node.lineno} {name}")
-    assert not found, f"cli.py: a read or a build outside its one place: {', '.join(found)}"
+def test_tracer_targets_are_called_where_wrapped():
+    # the tracer replaces a function in the module it names; a module that
+    # binds the function by name calls the unwrapped one, so its spans go
+    # unrecorded, unless the tracer wraps that binding too.  __init__.py only
+    # re-exports: src/ calls nothing through it
+    tracing = _load_perfbench("tracing")
+    wrapped = {f"{owner}.{attr}" for _, owner, attr, _, _ in tracing.TARGETS if ":" not in owner}
+    bound = sorted(
+        f"{path.name} {name}"
+        for path in MODULES
+        for name, target in _aliases(ast.parse(path.read_text())).items()
+        if target in wrapped and f"qptori.{path.stem}.{name}" not in wrapped
+    )
+    assert not bound, f"tracer targets bound by name, so called unwrapped: {', '.join(bound)}"
 
 
 def _only_raises_not_implemented(fn: ast.FunctionDef) -> bool:

@@ -270,7 +270,10 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     tests = torus_suite(lift, sol.phi, cfg.test_tol)
     timing = _timing(t0)  # Newton and the tests: every map_eval phase
     for i, h in enumerate(sol.history):
-        log(f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}")
+        log(
+            f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}"
+            f"  map tol {h['map_tol']:.1e}"
+        )
     eigs = np.sort(np.abs(sol.eigenvalues()))
     log(f"eigenvalue magnitudes: {', '.join(f'{v:.15e}' for v in eigs)}")
     for t in tests:

@@ -331,15 +331,17 @@ class PoincareSpec:
 
 
 def _advance_chunk(payload):
-    P, x, thetas, frac0, frac1, spec = payload
+    P, x, thetas, frac0, frac1, spec, tol = payload
     theta_start = np.empty((x.shape[0], P.field.d + 1))
     theta_start[:, 0] = frac0
     theta_start[:, 1:] = thetas
     span = (frac1 - frac0) * P.field.delta
-    return integrate_span(P.field, x, theta_start, span, spec, P.tol)
+    return integrate_span(P.field, x, theta_start, span, spec, tol)
 
 
-def section_map(P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse: bool = False):
+def section_map(
+    P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse: bool = False, tol=None
+):
     """Map jets between consecutive shooting sections (j = 1..r).
 
     Forward: from section j to section j+1, a span of delta/r starting at
@@ -348,7 +350,8 @@ def section_map(P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse:
     with ``ncoeff`` set by ``spec`` (a real state is a ``jets.REAL`` jet,
     ``x[..., None]``); ``thetas`` is (batch, d).  The batch is cut into
     fixed-size chunks (independent of the worker count) and dispatched to
-    the pool.
+    the pool.  ``tol`` is the integrator tolerance of this sweep; None
+    means ``P.tol``.
     """
     if not 1 <= j <= P.r:
         raise ValueError(f"section index {j} outside 1..{P.r}")
@@ -358,8 +361,9 @@ def section_map(P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse:
         frac0, frac1 = frac1, frac0
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
+    tol = P.tol if tol is None else tol
     payloads = [
-        (P, x[i : i + _CHUNK], thetas[i : i + _CHUNK], frac0, frac1, spec)
+        (P, x[i : i + _CHUNK], thetas[i : i + _CHUNK], frac0, frac1, spec, tol)
         for i in range(0, x.shape[0], _CHUNK)
     ]
     with profile.phase("map_eval"):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArtifactError, QptoriError, SpectrumError
 from .fourier import FourierField, MeshSpec, evaluate_coeffs, shift_grid
-from .torus import TorusSolution, _matvec, _point_norm_max, solve_cohomological
+from .torus import TorusSolution, _matvec, _json_floats, _point_norm_max, solve_cohomological
 
 _TAIL_WARN = 1e-10
 _TAIL_FATAL = 1e-6
@@ -115,11 +115,11 @@ class ManifoldExpansion:
             coeffs = [FourierField.load(f"{prefix}.a{k}.bin") for k in range(order + 1)]
             exp = cls(
                 branch=meta["branch"],
-                lam=float(meta["lambda"]),
-                v=np.array(meta["v"], dtype=float),
+                lam=float(_json_floats(meta["lambda"], "lambda", 0)),
+                v=_json_floats(meta["v"], "v", 1),
                 coeffs=coeffs,
-                scaling=float(meta["scaling"]),
-                rho=np.array(meta["rho"], dtype=float),
+                scaling=float(_json_floats(meta["scaling"], "scaling", 0)),
+                rho=_json_floats(meta["rho"], "rho", 1),
                 order_errors=list(meta.get("order_errors", [])),
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:

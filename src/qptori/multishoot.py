@@ -56,12 +56,13 @@ class LiftedMap:
             else:
                 yield j, j, j % r + 1
 
-    def _sweep(self, y, thetas, spec, inverse):
-        """Lifted jets (batch, n*r, ncoeff) through every section on its route."""
+    def _sweep(self, y, thetas, spec, inverse, tol=None):
+        """Lifted jets (batch, n*r, ncoeff) through every section on its route,
+        at integrator tolerance ``tol`` (None: ``P.tol``)."""
         out = np.empty_like(y)
         for j, src, dst in self._routes(inverse):
             out[:, self._block(dst)] = section_map(
-                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse
+                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse, tol=tol
             )
         return out
 
@@ -69,10 +70,13 @@ class LiftedMap:
         x = np.asarray(x, dtype=float)
         return self._sweep(x[..., None], thetas, jets.REAL, inverse)[..., 0]
 
-    def images_and_jacobian(self, x, thetas, inverse=False):
+    def images_and_jacobian(self, x, thetas, inverse=False, tol=None):
+        """Images and lifted differentials; ``tol`` is the integrator
+        tolerance of this sweep (None: ``P.tol``), which Newton loosens on
+        its early passes."""
         x = np.asarray(x, dtype=float)
         seeds, spec = jets.seed_gradient(x.reshape(x.shape[0], self.r, -1))
-        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, inverse)
+        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, inverse, tol)
         jac = np.zeros((x.shape[0], self.n, self.n))
         for _, src, dst in self._routes(inverse):
             jac[:, self._block(dst), self._block(src)] = out[:, self._block(dst), 1:]

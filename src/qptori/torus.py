@@ -12,6 +12,17 @@ finish the previous Floquet half, its images give both residuals, and the
 torus half follows unless they pass.  C^{-1} is derived from C where it is
 needed, never stored.
 
+The Newton passes are inexact (Dembo, Eisenstat and Steihaug 1982;
+Eisenstat and Walker 1996): a correction needs the map only about as
+accurately as the residual it leaves behind, and the integrator's step
+count grows like tol^(-1/8).  Pass 0 sweeps at ``_FIRST_PASS_TOL`` and
+pass k at ``P.tol * r^4`` clamped to [P.tol, _FIRST_PASS_TOL], where r is
+the larger residual of pass k-1.  A loose pass whose invariance residual
+reads under ``_RESWEEP_BELOW`` (or under the Newton tolerance) is swept
+again at P.tol before anything reads it, so no correction near the
+solution and no convergence decision rests on a loose sweep.  Each history
+entry records its sweep's tolerance as ``map_tol``.
+
 The torus, Floquet and manifold equations are one equation,
 ``X(theta+rho) A - B X(theta) = G`` on grid values: A = 1 for the torus,
 A = lambda^m for manifold order m and A = B, with a zero-average X, for
@@ -40,6 +51,29 @@ from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
+# inexact Newton (module docstring): the integrator tolerance of the first
+# pass, and the invariance residual under which a loose pass is swept again
+_FIRST_PASS_TOL = 1e-10
+_RESWEEP_BELOW = 1e-4
+
+
+def _json_floats(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON number (ndim 0), or nested lists of them, as a float array.
+
+    float() would parse the string "2.5" and take true as 1, so an artifact
+    holding either, or another number of axes, is refused with ValueError.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            raise ValueError(f"{name} holds {item!r}, not a JSON number")
+    out = np.array(value, dtype=float)
+    if out.ndim != ndim:
+        raise ValueError(f"{name} has {out.ndim} axes, not {ndim}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,8 +144,8 @@ class TorusSolution:
             n = meta["n"]
             if type(n) is not int:  # json reads 2.7 as a float and true as a bool
                 raise ValueError(f"n is {n!r}, not an integer")
-            B = np.array(meta["B"], dtype=float)
-            rho = np.array(meta["rho"], dtype=float)
+            B = _json_floats(meta["B"], "B", 2)
+            rho = _json_floats(meta["rho"], "rho", 1)
             history = meta.get("history", [])
             monitor_flags = [tuple(k) for k in meta.get("monitor_flags", [])]
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -308,9 +342,10 @@ def run_newton(
     previous pass's Floquet half-step, its images and the updated C and B
     give both residuals, and, unless those pass or a stop applies, the
     torus half-step moves phi for the next pass.  ``history`` holds one
-    entry per pass, so ``max_iter`` corrections make at most
-    ``max_iter + 1`` sweeps.  ``C0`` holds the grid values of the seed
-    change, shape mesh.shape + (n, n).
+    entry per pass; a pass sweeps once, or twice when its loose sweep
+    reads a small residual (module docstring).  ``C0`` holds the grid
+    values of the seed change, shape mesh.shape + (n, n).  ``qpmap.P.tol``
+    is the configured integrator tolerance.
     """
     mesh = phi0.mesh
     n = phi0.n
@@ -324,20 +359,31 @@ def run_newton(
     history: list[dict] = []
     flags: list[tuple[int, ...]] = []
 
+    full_tol = qpmap.P.tol
+    prev_worst = np.inf
     for it in range(cfg.max_iter + 1):
-        images, jacs = qpmap.images_and_jacobian(phi.values.reshape(mesh.M, n), thetas)
+        map_tol = max(full_tol, min(_FIRST_PASS_TOL, full_tol * prev_worst**4))
+        while True:
+            images, jacs = qpmap.images_and_jacobian(
+                phi.values.reshape(mesh.M, n), thetas, tol=map_tol
+            )
+            # the invariance error phi(theta+rho) - P(phi(theta), theta)
+            y = phi.shift(rho).values.reshape(mesh.M, n) - images
+            del images  # only y, of the same size, stays alive through the pass
+            res_y = _point_norm_max(y)
+            if map_tol == full_tol or res_y > max(_RESWEEP_BELOW, cfg.tol):
+                break
+            del jacs, y  # so that two sweeps are never alive at once
+            map_tol = full_tol
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
         if it > 0:
             C, B = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
             C_inv_shift = shift_grid(np.linalg.inv(C), mesh, rho)
 
-        # the invariance error phi(theta+rho) - P(phi(theta), theta)
-        y = phi.shift(rho).values.reshape(mesh.M, n) - images
-        res_y = _point_norm_max(y)
         res_q = _point_norm_max(
             _reducibility_error(jacs_grid, C, C_inv_shift, B).reshape(mesh.shape + (n * n,))
         )
-        history.append({"invariance": res_y, "reducibility": res_q})
+        history.append({"invariance": res_y, "reducibility": res_q, "map_tol": map_tol})
         if res_y <= cfg.tol and res_q <= cfg.tol:
             return TorusSolution(phi, C, B, rho, history, flags)
 

@@ -13,7 +13,9 @@ Four checks, all reusable on persisted artifacts:
    branch, and P^{-1} for the stable branch, which is the unstable
    expansion of the inverse map on the same plain parametrization.  The
    probe points of a scan share one map call, so they share the
-   integrator's step sequence: one integration span per section.
+   integrator's step sequence: one integration span per section.  The
+   probe at sigma = 0 reads the torus error itself, and a sigma whose
+   residual sits within a factor 100 of it is not read.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .torus import _point_norm_max
 DEFAULT_TOL = 1e-10
 _ORDER_BAND = 0.5  # test 4 passes when its slope is within this of m + 1
 _ROUND_OFF_FLOOR = 1e-13  # test 4 skips a sigma whose residuals fall below this
+_TORUS_ERROR_MARGIN = 100.0  # and a sigma whose residuals fall below this times eps(0)
 
 
 def default_gamma(d: int) -> np.ndarray:
@@ -113,10 +116,11 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     branch was expanded on, P from s = theta for the unstable branch, and
     P^{-1} from s = theta + rho back to theta for the stable one, where the
     forward form would bury the sigma^{m+1} signal under the contraction by
-    lambda.  Scans sigma1 down one decade; all 18 probe points (each sigma
-    and its half) go through the map in one call.  A candidate whose
-    residuals sit at the round-off floor is flagged as cancellation and
-    skipped.
+    lambda.  Scans sigma1 down one decade; all 19 probe points (each sigma
+    and its half, and sigma = 0) go through the map in one call.  eps(0)
+    is the torus error, which no truncation order explains: a candidate
+    whose smaller residual is under ``max(1e-13, 100 eps(0))`` is flagged
+    as "floor" and skipped.
     """
     m = exp.order
     theta = np.zeros(exp.mesh.d)
@@ -124,16 +128,17 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
     start = (theta - rho_F) % 1.0 if inverse else theta
     scan = sigma1 * 10.0 ** (-np.arange(9) / 4.0)
-    sigmas = np.concatenate([scan, scan / 2.0])
+    sigmas = np.concatenate([scan, scan / 2.0, [0.0]])
     x = exp.evaluate(start, sigmas)
     img = qpmap.images(x, np.tile(start, (len(sigmas), 1)), inverse=inverse)
     target = exp.evaluate((start + rho_F) % 1.0, lam_F * sigmas)
     eps = np.linalg.norm(img - target, axis=-1)
+    floor = max(_ROUND_OFF_FLOOR, _TORUS_ERROR_MARGIN * float(eps[-1]))
     tried = []
     best = None
-    for sigma, e1, e2 in zip(scan, eps[: len(scan)], eps[len(scan) :]):
-        if e1 < _ROUND_OFF_FLOOR or e2 < _ROUND_OFF_FLOOR:
-            tried.append({"sigma": float(sigma), "ratio": None, "note": "round-off"})
+    for sigma, e1, e2 in zip(scan, eps[: len(scan)], eps[len(scan) : -1]):
+        if min(e1, e2) < floor:
+            tried.append({"sigma": float(sigma), "ratio": None, "note": "floor"})
             continue
         ratio = float(np.log2(e1 / e2))
         tried.append({"sigma": float(sigma), "ratio": ratio})
@@ -147,7 +152,7 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
         measured,
         _ORDER_BAND,
         passed,
-        {"expected": expected, "scan": tried, "theta": theta.tolist()},
+        {"expected": expected, "scan": tried, "theta": theta.tolist(), "floor": floor},
     )
 
 

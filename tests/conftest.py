@@ -94,8 +94,9 @@ def single_point_order_reading(exp, qpmap, sigma1=1e-2):
 
     The reference for ``verify.test_order``, which flows all probe points in
     one map call: here W is the power sum of the coefficient fields at one
-    point, each residual has its own single-point map call, and the scan
-    and its candidate rule are the same.
+    point, each residual has its own single-point map call, and the scan,
+    its floor (from the residual at sigma = 0) and its candidate rule are
+    the same.
     """
     inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
     start = np.zeros(exp.mesh.d)
@@ -110,10 +111,11 @@ def single_point_order_reading(exp, qpmap, sigma1=1e-2):
         return np.linalg.norm(img - w((start + rho_F) % 1.0, lam_F * sigma))
 
     expected = exp.order + 1
+    floor = max(1e-13, 100.0 * residual(0.0))
     best = None
     for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
         e1, e2 = residual(sigma), residual(sigma / 2.0)
-        if min(e1, e2) < 1e-13:
+        if min(e1, e2) < floor:
             continue
         ratio = np.log2(e1 / e2)
         if best is None or abs(ratio - expected) < abs(best - expected):

@@ -29,7 +29,7 @@ max_iter = 12
 tol = 1e-14
 
 [manifold]
-order = 3
+order = 4
 branches = unstable stable
 scaling = 1.0
 
@@ -95,7 +95,7 @@ class TestConfig:
             ("name = pendulum", "name = duffing"),
             ("sections = 1", "sections = 0"),
             ("scaling = 1.0", "scaling = big"),
-            ("order = 3", "order = 0"),
+            ("order = 4", "order = 0"),
             ("[model]\n", ""),
             ("branches = unstable stable", "branches = unstable stabel"),
             ("[integrator]\ntol = 1e-14", "[integrator]\ntol = 0"),
@@ -104,7 +104,7 @@ class TestConfig:
             ("test_tol = 1e-10", "test_tol = -1"),
             ("max_iter = 12", "max_iter = -3"),
             ("branches = unstable stable", "branches ="),
-            ("order = 3", "oder = 3"),
+            ("order = 4", "oder = 4"),
             ("[run]", "[runn]"),
             ("[model]", "[DEFAULT]\nalpha = 0.5\n\n[model]"),
             ("threads = 1", "threads = 0"),
@@ -269,7 +269,7 @@ class TestManifoldCommand:
         out, _ = run_dir
         for branch in ("unstable", "stable"):
             assert (out / f"manifold_{branch}.json").exists()
-            for k in range(4):
+            for k in range(5):
                 assert (out / f"manifold_{branch}.a{k}.bin").exists()
             assert (out / f"manifold_{branch}_slice.csv").exists()
 
@@ -288,7 +288,7 @@ class TestManifoldCommand:
         report = json.loads((out / "manifold_report.json").read_text())
         for branch in ("unstable", "stable"):
             tails = report["branches"][branch]["transport_tails"]
-            assert list(tails) == ["2", "3"]
+            assert list(tails) == ["2", "3", "4"]
             assert all(isinstance(t, float) and 0.0 <= t < 1e-6 for t in tails.values())
 
     def test_other_mesh_refused(self, run_dir, tmp_path, capsys):
@@ -306,8 +306,7 @@ class TestManifoldCommand:
         config.write_text(CONFIG_D1.replace("scaling = 1.0", "scaling = auto"))
         monkeypatch.setattr(cli, "estimate_radius", lambda exp: 0.05)
         argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
-        # 0 or 1: test 4 of an order-3 expansion reads near its band edge
-        assert cli.main(argv + ["--resume", str(out / "torus")]) in (0, 1)
+        assert cli.main(argv + ["--resume", str(out / "torus")]) == 0
         report = json.loads((tmp_path / "manifold_report.json").read_text())
         for branch in ("unstable", "stable"):
             entry = report["branches"][branch]
@@ -321,7 +320,7 @@ class TestManifoldCommand:
         out, _ = run_dir
         config = tmp_path / "order1.ini"
         config.write_text(
-            CONFIG_D1.replace("order = 3", "order = 1").replace("scaling = 1.0", "scaling = auto")
+            CONFIG_D1.replace("order = 4", "order = 1").replace("scaling = 1.0", "scaling = auto")
         )
         argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
         assert cli.main(argv + ["--resume", str(out / "torus")]) in (0, 1)
@@ -381,7 +380,11 @@ class TestVerifyCommand:
         [
             ("torus", (".phi.bin", ".C.bin", ".json"), ".phi.bin"),
             ("torus", (".phi.bin", ".C.bin", ".json"), ".C.bin"),
-            ("manifold_stable", (".json", ".a0.bin", ".a1.bin", ".a2.bin", ".a3.bin"), ".a2.bin"),
+            (
+                "manifold_stable",
+                (".json", ".a0.bin", ".a1.bin", ".a2.bin", ".a3.bin", ".a4.bin"),
+                ".a2.bin",
+            ),
         ],
         ids=["torus-phi", "torus-C", "manifold-a2"],
     )
@@ -583,6 +586,8 @@ class TestCorruptMetadata:
             lambda meta, path: meta.update(rho=[np.inf]),
             _zero_change,
             lambda meta, path: meta.update(B=[[0.0, 0.0], [0.0, 2.0]]),
+            lambda meta, path: meta.update(B=[[str(b) for b in row] for row in meta["B"]]),
+            lambda meta, path: meta.update(rho=[str(r) for r in meta["rho"]]),
         ],
         ids=[
             "no-n",
@@ -595,6 +600,8 @@ class TestCorruptMetadata:
             "rho-inf",
             "C-singular",
             "B-singular",
+            "B-strings",
+            "rho-strings",
         ],
     )
     def test_torus(self, run_dir, tmp_path, capsys, damage):
@@ -644,6 +651,11 @@ class TestCorruptMetadata:
             lambda meta, path: meta.update(scaling=0.0),
             lambda meta, path: meta.update(scaling=-1.0),
             lambda meta, path: meta["v"].__setitem__(1, np.nan),
+            lambda meta, path: meta.update({"lambda": str(meta["lambda"])}),
+            lambda meta, path: meta.update(scaling=str(meta["scaling"])),
+            lambda meta, path: meta.update(v=[str(x) for x in meta["v"]]),
+            lambda meta, path: meta.update(rho=[str(r) for r in meta["rho"]]),
+            lambda meta, path: meta.update({"lambda": [meta["lambda"]]}),
         ],
         ids=[
             "no-branch",
@@ -661,11 +673,16 @@ class TestCorruptMetadata:
             "scaling-0",
             "scaling-negative",
             "v-nan",
+            "lambda-string",
+            "scaling-string",
+            "v-strings",
+            "rho-strings",
+            "lambda-list",
         ],
     )
     def test_manifold(self, run_dir, tmp_path, capsys, damage):
         name = "manifold_stable"
-        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(4)])
+        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(5)])
         damage(meta, tmp_path)
         (tmp_path / f"{name}.json").write_text(json.dumps(meta))
         self._refused(run_dir, tmp_path, capsys, tmp_path / name, ManifoldExpansion.load)
@@ -673,7 +690,7 @@ class TestCorruptMetadata:
     def test_unstable_lambda_inside_circle(self, run_dir, tmp_path, capsys):
         # an unstable branch whose multiplier contracts is refused, not tested
         name = "manifold_unstable"
-        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(4)])
+        meta = self._copy(run_dir, tmp_path, name, [f".a{k}.bin" for k in range(5)])
         meta["lambda"] = 0.5
         (tmp_path / f"{name}.json").write_text(json.dumps(meta))
         self._refused(run_dir, tmp_path, capsys, tmp_path / name, ManifoldExpansion.load)
@@ -684,7 +701,7 @@ class TestManifoldFormat:
     def old_artifact(self, run_dir, tmp_path):
         """The stable manifold artifact with its JSON stripped of the format version."""
         out, _ = run_dir
-        for k in range(4):
+        for k in range(5):
             shutil.copy(out / f"manifold_stable.a{k}.bin", tmp_path / f"manifold_stable.a{k}.bin")
         meta = json.loads((out / "manifold_stable.json").read_text())
         del meta["format"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qptori import jets
+from qptori import flowmap, jets, parallel
 from qptori.flowmap import section_map
 from qptori.manifold import eigen_pick, unstable_expansion
 from qptori.multishoot import LiftedMap, lifted_seed
@@ -59,6 +59,37 @@ class TestLift:
             blocks = jac.reshape(4, r, n, r, n).transpose(0, 1, 3, 2, 4)
             assert not blocks[:, ~on_route].any()
         assert np.array_equal(lift.rho, (field.omega[1:] / field.omega[0] / r) % 1.0)
+
+    @staticmethod
+    def sweep_points(r, npts=64):
+        field, mesh, P = pendulum_setup(1, 31, r=r)
+        rng = np.random.default_rng(4)
+        x = np.tile([np.pi, 0.0], r) + 0.05 * rng.standard_normal((npts, field.n * r))
+        return P, LiftedMap(P), x, rng.random((npts, 1))
+
+    def test_configured_tolerance_is_the_default(self):
+        # a sweep that passes P.tol is the sweep that passes none, bitwise
+        P, lift, x, theta = self.sweep_points(r=2)
+        for inverse in (False, True):
+            default = lift.images_and_jacobian(x, theta, inverse=inverse)
+            explicit = lift.images_and_jacobian(x, theta, inverse=inverse, tol=P.tol)
+            for a, b in zip(default, explicit):
+                assert np.array_equal(a, b)
+
+    def test_loose_sweep_independent_of_workers(self, monkeypatch):
+        # a loose tolerance reaches every chunk, in-process and in the pool
+        monkeypatch.setattr(flowmap, "_CHUNK", 16)  # 4 chunks per section
+        P, lift, x, theta = self.sweep_points(r=2)
+        loose = lift.images_and_jacobian(x, theta, tol=1e-10)
+        try:
+            parallel.set_workers(2)
+            pooled = lift.images_and_jacobian(x, theta, tol=1e-10)
+        finally:
+            parallel.set_workers(1)
+        full = lift.images_and_jacobian(x, theta)
+        for a, b, c in zip(loose, pooled, full):
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
 
     def test_lifted_rotation(self):
         field, mesh, P = pendulum_setup(1, 31, r=2)

@@ -312,6 +312,35 @@ class TestNewton:
         assert len(sol.history) > 1
         assert len(sweeps) == len(sol.history)
 
+    def test_early_passes_sweep_loose(self, d1_torus):
+        # the seed's residual sets a loose first pass; the pass that stops
+        # Newton and the one before it sweep at the configured tolerance
+        P, _, sol = d1_torus
+        tols = [h["map_tol"] for h in sol.history]
+        assert tols[0] > P.tol
+        assert tols[-2:] == [P.tol, P.tol]
+        assert all(P.tol <= t <= 1e-10 for t in tols)
+
+    def test_converged_seed_swept_again_at_full_tolerance(self, d1_torus, monkeypatch):
+        # a loose first pass that reads a small residual is swept again, and
+        # only the second sweep makes the history
+        P, qpmap, sol = d1_torus
+        sweeps = self.count_sweeps(monkeypatch)
+        again = run_newton(qpmap, sol.phi, sol.C, sol.B, NewtonConfig())
+        assert len(sweeps) == 2
+        assert [h["map_tol"] for h in again.history] == [P.tol]
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.05])
+    def test_convergence_never_read_from_a_loose_sweep(self, tol):
+        # with tol = 0.05 the loose second pass already reads under tol
+        # (0.02 on this seed): it is swept again before Newton stops
+        field, mesh, P = pendulum_setup(1, 31)
+        qpmap = LiftedMap(P)
+        seed = newton_seed(qpmap, mesh)
+        last = run_newton(qpmap, *seed, NewtonConfig(tol=tol)).history[-1]
+        assert last["invariance"] <= tol and last["reducibility"] <= tol
+        assert last["map_tol"] == P.tol
+
     def test_seed_change_of_wrong_shape_refused(self):
         # C0 holds the grid values of the change, not one n x n matrix
         field, mesh, P = pendulum_setup(1, 15)

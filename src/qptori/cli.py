@@ -31,10 +31,16 @@ from . import models, parallel
 from .errors import ArtifactError, QptoriError
 from .flowmap import PoincareSpec
 from .fourier import MeshSpec
-from .manifold import ManifoldExpansion, estimate_radius, stable_expansion, unstable_expansion
+from .manifold import (
+    ManifoldExpansion,
+    _reversor,
+    estimate_radius,
+    stable_expansion,
+    unstable_expansion,
+)
 from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
-from .verify import test_order, test_tail, torus_suite
+from .verify import reversibility, test_order, test_tail, torus_suite
 
 example_config = """\
 [model]
@@ -269,6 +275,7 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     sol = run_newton(lift, phi0, C0, B0, ncfg)
     tests = torus_suite(lift, sol.phi, cfg.test_tol)
     timing = _timing(t0)  # Newton and the tests: every map_eval phase
+    reversal = reversibility(lift, sol.phi)
     for i, h in enumerate(sol.history):
         log(
             f"iter {i}: invariance {h['invariance']:.3e}  reducibility {h['reducibility']:.3e}"
@@ -278,6 +285,7 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     log(f"eigenvalue magnitudes: {', '.join(f'{v:.15e}' for v in eigs)}")
     for t in tests:
         log(str(t))
+    log("reversibility: " + ("none (no reversor)" if reversal is None else f"{reversal:.3e}"))
     sol.save(str(out / "torus"))
     wall, frac = timing["wall_time"], timing["profile"]["map_eval_fraction"]
     log(f"wall time {wall:.2f}s, map evaluation {100*frac:.1f}%, workers {timing['workers']}")
@@ -290,6 +298,7 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
         **timing,
         "solution": sol.report(),
         "tests": [t.as_dict() for t in tests],
+        "reversibility": reversal,
     }
     _finish(out, "torus", report, log)
     if not all(t.passed for t in tests):
@@ -297,7 +306,14 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     return 0
 
 
-def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str | float):
+def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str | float, unstable=None):
+    """One branch and its estimated radius.  ``unstable`` is the unstable
+    branch's (expansion, radius), if made: the stable branch of a reversible
+    field reflects that expansion at its scaling, and shares its radius,
+    since the reflection keeps every coefficient's norm."""
+    if branch == "stable" and unstable is not None and _reversor(lift) is not None:
+        exp, radius = unstable
+        return stable_expansion(sol, lift, m, exp.scaling, unstable=exp), radius
     fn = unstable_expansion if branch == "unstable" else stable_expansion
     if scaling != "auto":
         return fn(sol, lift, m, scaling), None
@@ -325,9 +341,14 @@ def cmd_manifold(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> i
         "branches": {},
     }
     ok = True
-    for branch in cfg.branches:
-        exp, radius = _expand(sol, lift, branch, cfg.manifold_order, cfg.scaling)
-        log(f"{branch}: lambda {exp.lam:.15e}, scaling {exp.scaling}")
+    unstable = None
+    # the unstable branch first: a reversible field's stable branch reflects it
+    for branch in sorted(cfg.branches, key=("unstable", "stable").index):
+        exp, radius = _expand(sol, lift, branch, cfg.manifold_order, cfg.scaling, unstable)
+        if branch == "unstable":
+            unstable = exp, radius
+        derived = f", reflected from the {exp.derived_from} branch" if exp.derived_from else ""
+        log(f"{branch}: lambda {exp.lam:.15e}, scaling {exp.scaling}{derived}")
         for k, err in enumerate(exp.order_errors):
             log(f"  order {k}: relative invariance error {err:.3e}")
         tests = _manifold_tests(exp, lift, cfg.test_tol)
@@ -347,6 +368,7 @@ def cmd_manifold(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> i
             "order_errors": exp.order_errors,
             "orders_pass": orders_ok,
             "transport_tails": exp.transport_tails,  # JSON keys: the orders as strings
+            "derived_from": exp.derived_from,
             "tests": [t.as_dict() for t in tests],
         }
     report.update(_timing(t0))

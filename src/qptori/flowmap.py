@@ -179,10 +179,16 @@ class QPVectorField:
     every model must meet.  ``span`` is the per-span hook of the integrator:
     a subclass may override it to hoist angle-only work out of the stages,
     as long as its stage function agrees with ``rhs`` along the span.
+
+    A reversible field may declare its reversor: a +-1 vector R on the
+    state such that (x, t, theta) -> (R x, -t, -theta) maps solutions to
+    solutions, so that the return map satisfies R P(R x, -theta) =
+    P^{-1}(x, theta).  The default, None, declares nothing.
     """
 
     n: int
     omega: np.ndarray
+    reversor: tuple | None = None
 
     def rhs(self, x: np.ndarray, theta: np.ndarray, spec: jets.JetSpec) -> np.ndarray:
         """dx/dt for coefficient-major states x (ncoeff, n, batch) at angles

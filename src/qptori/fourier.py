@@ -292,3 +292,13 @@ def shift_grid(values: np.ndarray, mesh: MeshSpec, alpha) -> np.ndarray:
     values of shape mesh.shape + any trailing shape (an n x n matrix, say)."""
     field = FourierField.from_values(mesh, values.reshape(mesh.shape + (-1,)))
     return field.shift(alpha).values.reshape(values.shape)
+
+
+def reflect_grid(values: np.ndarray, mesh: MeshSpec) -> np.ndarray:
+    """Grid values of theta -> x(-theta), for grid values of shape
+    mesh.shape + any trailing shape.  The grid maps onto itself under
+    theta -> -theta (mod 1), kappa_j -> -kappa_j mod N_j on every angle, so
+    this is an index permutation: exact, and no transform."""
+    for axis in range(mesh.d):
+        values = np.roll(np.flip(values, axis), 1, axis)
+    return values

@@ -14,9 +14,19 @@ DP(phi(theta), theta) C(theta) = C(theta + rho) B it follows that
 DP^{-1} C(theta) = C(theta - rho) B^{-1}, so the stable manifold of P with
 multiplier lambda_s is the unstable manifold of P^{-1} with rotation -rho,
 Floquet matrix B^{-1} and multiplier 1/lambda_s, on the same phi and C.
-Both branches store a_k(theta) on the plain grid.  Off the grid, W is one
-contraction of all m+1 coefficient series over the angles
-(``fourier.evaluate_coeffs``) followed by Horner's rule in sigma.
+Both branches store a_k(theta) on the plain grid.
+
+A field may declare a reversor R (``QPVectorField.reversor``), with
+R P(R x, -theta) = P^{-1}(x, theta) (Devaney 1976; Lamb and Roberts 1998).
+On an r = 1 lift its stable expansion is then the reflected unstable one,
+a_k^s(theta) = R a_k^u(-theta) at every order, up to the sign of sigma that
+``eigen_pick``'s pivot rule fixes.  theta -> -theta permutes the grid
+(``fourier.reflect_grid``), so the reflection is exact; only the stable
+branch's error transport through P^{-1} runs, as an independent check.
+Fields without a reversor and lifts with r > 1 transport both branches.
+
+Off the grid, W is one contraction of all m+1 coefficient series over the
+angles (``fourier.evaluate_coeffs``) followed by Horner's rule in sigma.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ArtifactError, QptoriError, SpectrumError
-from .fourier import FourierField, MeshSpec, evaluate_coeffs, shift_grid
+from .fourier import FourierField, MeshSpec, evaluate_coeffs, reflect_grid, shift_grid
 from .torus import TorusSolution, _matvec, _json_floats, _point_norm_max, solve_cohomological
 
 _TAIL_WARN = 1e-10
@@ -51,6 +61,9 @@ class ManifoldExpansion:
     # order k >= 2 -> relative Fourier tail of its transported coefficient;
     # reported by the expansion run, not stored in the artifact
     transport_tails: dict = dc_field(default_factory=dict)
+    # the branch a reflected expansion was built from (None: transported);
+    # reported by the expansion run, not stored in the artifact
+    derived_from: str | None = None
 
     @property
     def order(self) -> int:
@@ -244,14 +257,27 @@ def _expansion_errors(qpmap, coeffs, branch: str, lam: float, rho) -> list[float
     return errors
 
 
-def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> ManifoldExpansion:
-    """Order-by-order expansion of one branch through the map of its direction."""
+def _reversor(qpmap) -> np.ndarray | None:
+    """The reversor R of the map's field as a float vector, for an r = 1 lift;
+    None for a field that declares none and for every lift with r > 1, where
+    reversal maps section j/r onto section (r-j)/r."""
+    R = qpmap.P.field.reversor
+    if R is None or qpmap.r != 1:
+        return None
+    R = np.asarray(R, dtype=float)
+    if R.shape != (qpmap.n,) or not (np.abs(R) == 1.0).all():
+        raise ValueError(f"a reversor is a +-1 vector of length {qpmap.n}, got {R.tolist()}")
+    return R
+
+
+def _orders(sol: TorusSolution, qpmap, branch: str, m: int, c: float):
+    """``(lam, v, a_0 .. a_m, tails)`` of one branch, order by order through
+    the map of its direction."""
     if m < 1:
         raise ValueError("expansion order must be at least 1")
     mesh, n = sol.mesh, sol.n
-    rho = np.asarray(sol.rho, dtype=float)
     lam, v = eigen_pick(sol.B, branch, c)
-    inverse, B_F, rho_F, lam_F = _direction(branch, lam, rho, sol.B)
+    inverse, B_F, rho_F, lam_F = _direction(branch, lam, sol.rho, sol.B)
 
     a1 = _matvec(sol.C, np.broadcast_to(v, mesh.shape + (n,)))
     a = [sol.phi, FourierField.from_values(mesh, a1)]
@@ -265,7 +291,13 @@ def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> Manifol
         tails[k] = _check_tail(b, k)
         u = solve_cohomological(_matvec(C_inv_shift, b.values), mesh, B_F, rho_F, float(lam_F) ** k)
         a.append(FourierField.from_values(mesh, _matvec(sol.C, u)))
+    return lam, v, a, tails
 
+
+def _expand(sol: TorusSolution, qpmap, branch: str, m: int, c: float) -> ManifoldExpansion:
+    """Order-by-order expansion of one branch through the map of its direction."""
+    lam, v, a, tails = _orders(sol, qpmap, branch, m, c)
+    rho = np.asarray(sol.rho, dtype=float)
     errors = _expansion_errors(qpmap, a, branch, lam, rho)
     return ManifoldExpansion(branch, lam, v, a, c, rho, errors, tails)
 
@@ -275,9 +307,43 @@ def unstable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> Man
     return _expand(sol, qpmap, "unstable", m, c)
 
 
-def stable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> ManifoldExpansion:
-    """Order-by-order expansion of the stable branch through the inverse map."""
-    return _expand(sol, qpmap, "stable", m, c)
+def stable_expansion(
+    sol: TorusSolution, qpmap, m: int, c: float = 1.0, unstable: ManifoldExpansion | None = None
+) -> ManifoldExpansion:
+    """The stable branch.  For a field with a reversor R on an r = 1 lift it
+    is the reflected unstable expansion, a_k^s(theta) = s^k R a_k^u(-theta)
+    for every order, a_0 and a_1 included; otherwise it is the
+    order-by-order expansion through the inverse map.
+
+    The reflection takes a_k^u and their tails from ``unstable``, which must
+    then be the unstable expansion at order m and scaling c; without it the
+    unstable orders are transported here.  lambda_s and v_s are
+    ``eigen_pick``'s, and the sign s = +-1 puts a_1^s on the side of C v_s
+    that its pivot rule picked.  The order errors come from the stable
+    branch's own transport through P^{-1}.
+    """
+    R = _reversor(qpmap)
+    if R is None:
+        return _expand(sol, qpmap, "stable", m, c)
+    if unstable is None:
+        _, _, a_u, tails = _orders(sol, qpmap, "unstable", m, c)
+    elif (unstable.branch, unstable.order, unstable.scaling) != ("unstable", m, c):
+        raise ValueError(
+            f"the stable branch at order {m}, scaling {c} reflects the unstable one at the same "
+            f"order and scaling, not the {unstable.branch} one at order {unstable.order}, "
+            f"scaling {unstable.scaling}"
+        )
+    else:
+        a_u, tails = unstable.coeffs, unstable.transport_tails
+    mesh, n = sol.mesh, sol.n
+    lam, v = eigen_pick(sol.B, "stable", c)
+    a = [R * reflect_grid(a_k.values, mesh) for a_k in a_u]
+    if np.vdot(a[1], _matvec(sol.C, np.broadcast_to(v, mesh.shape + (n,)))) < 0.0:
+        a = [(-1.0) ** k * a_k for k, a_k in enumerate(a)]
+    a = [FourierField.from_values(mesh, a_k) for a_k in a]
+    rho = np.asarray(sol.rho, dtype=float)
+    errors = _expansion_errors(qpmap, a, "stable", lam, rho)
+    return ManifoldExpansion("stable", lam, v, a, c, rho, errors, dict(tails), "unstable")
 
 
 def estimate_radius(exp: ManifoldExpansion) -> float | None:

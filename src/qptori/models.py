@@ -45,9 +45,11 @@ class PendulumParams:
 class PendulumField(QPVectorField):
     """(x, y)' = (y, -alpha sin x + eps * zeta(theta)) with
     zeta = 1 / (d + 2 + sum_i cos(2 pi theta_i)); the denominator never
-    drops below 1."""
+    drops below 1.  zeta is even in theta, so (x, y, t, theta) ->
+    (x, -y, -t, -theta) maps solutions to solutions: the reversor is (1, -1)."""
 
     n = 2
+    reversor = (1, -1)
 
     def __init__(self, params: PendulumParams):
         self.params = params

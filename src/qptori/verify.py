@@ -15,7 +15,13 @@ Four checks, all reusable on persisted artifacts:
    probe points of a scan share one map call, so they share the
    integrator's step sequence: one integration span per section.  The
    probe at sigma = 0 reads the torus error itself, and a sigma whose
-   residual sits within a factor 100 of it is not read.
+   residual sits within a factor 100 of it is not read.  A single slope
+   near m+1 can be noise, so the test passes only on three consecutive
+   clean sigmas in the band, or on every clean sigma of a shorter scan
+   when there are at least two.
+
+``reversibility`` reports, for a field with a reversor, how far the torus
+is from its mirror image; it is a reading, not a fifth test.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fourier import FourierField
-from .manifold import ManifoldExpansion, _direction
+from .fourier import FourierField, reflect_grid
+from .manifold import ManifoldExpansion, _direction, _reversor
 from .torus import _point_norm_max
 
 DEFAULT_TOL = 1e-10
-_ORDER_BAND = 0.5  # test 4 passes when its slope is within this of m + 1
+_ORDER_BAND = 0.5  # test 4 passes when its slopes are within this of m + 1
+_PLATEAU = 3  # at this many consecutive sigmas, or every clean one (two or more) of a shorter scan
 _ROUND_OFF_FLOOR = 1e-13  # test 4 skips a sigma whose residuals fall below this
 _TORUS_ERROR_MARGIN = 100.0  # and a sigma whose residuals fall below this times eps(0)
 
@@ -120,7 +127,12 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     and its half, and sigma = 0) go through the map in one call.  eps(0)
     is the torus error, which no truncation order explains: a candidate
     whose smaller residual is under ``max(1e-13, 100 eps(0))`` is flagged
-    as "floor" and skipped.
+    as "floor" and skipped.  The test reads a plateau, not a pick: it passes
+    when at least ``_PLATEAU`` consecutive clean sigmas read within
+    ``_ORDER_BAND`` of m+1, or every clean sigma of a scan with fewer (two
+    at least, as when the expansion's scaling sits far below its radius and
+    the scan reaches the floor early), and reports their median
+    (``_plateau``).
     """
     m = exp.order
     theta = np.zeros(exp.mesh.d)
@@ -135,25 +147,56 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     eps = np.linalg.norm(img - target, axis=-1)
     floor = max(_ROUND_OFF_FLOOR, _TORUS_ERROR_MARGIN * float(eps[-1]))
     tried = []
-    best = None
     for sigma, e1, e2 in zip(scan, eps[: len(scan)], eps[len(scan) : -1]):
         if min(e1, e2) < floor:
             tried.append({"sigma": float(sigma), "ratio": None, "note": "floor"})
-            continue
-        ratio = float(np.log2(e1 / e2))
-        tried.append({"sigma": float(sigma), "ratio": ratio})
-        if best is None or abs(ratio - expected) < abs(best[1] - expected):
-            best = (float(sigma), ratio)
-    measured = best[1] if best is not None else float("nan")
-    passed = best is not None and abs(measured - expected) <= _ORDER_BAND
+        else:
+            tried.append({"sigma": float(sigma), "ratio": float(np.log2(e1 / e2))})
+    measured, plateau, passed = _plateau([t["ratio"] for t in tried], expected)
     return TestReport(
         4,
         "order",
         measured,
         _ORDER_BAND,
         passed,
-        {"expected": expected, "scan": tried, "theta": theta.tolist(), "floor": floor},
+        {
+            "expected": expected,
+            "scan": tried,
+            "plateau": [tried[i]["sigma"] for i in plateau],
+            "theta": theta.tolist(),
+            "floor": floor,
+        },
     )
+
+
+def _plateau(ratios: list, expected: int) -> tuple[float, list[int], bool]:
+    """Test 4's reading of a scan's slopes (None for a skipped sigma): the
+    longest run of consecutive slopes within ``_ORDER_BAND`` of ``expected``
+    (the first of equal runs), as the indices of the run, and whether it
+    passes: it holds ``_PLATEAU`` slopes, or every clean slope of a scan with
+    fewer, two at least.  A passing run reads its median; otherwise the
+    reading is the median of every clean slope (nan when every sigma was
+    skipped)."""
+    best, run = [], []
+    for i, ratio in enumerate(ratios):
+        run = run + [i] if ratio is not None and abs(ratio - expected) <= _ORDER_BAND else []
+        if len(run) > len(best):
+            best = run
+    clean = [r for r in ratios if r is not None]
+    if len(best) >= max(2, min(_PLATEAU, len(clean))):
+        return float(np.median([ratios[i] for i in best])), best, True
+    return (float(np.median(clean)) if clean else float("nan")), best, False
+
+
+def reversibility(qpmap, phi: FourierField) -> float | None:
+    """max over the grid of |phi(-theta) - R phi(theta)| for a field with a
+    reversor R on an r = 1 lift, None otherwise.  A reversible map's unique
+    torus is symmetric, so this reads round-off on a resolved mesh; it is
+    reported, not a pass/fail test."""
+    R = _reversor(qpmap)
+    if R is None:
+        return None
+    return _point_norm_max(reflect_grid(phi.values, phi.mesh) - R * phi.values)
 
 
 def torus_suite(qpmap, phi: FourierField, tol: float = DEFAULT_TOL) -> list[TestReport]:

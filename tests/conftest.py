@@ -95,8 +95,9 @@ def single_point_order_reading(exp, qpmap, sigma1=1e-2):
     The reference for ``verify.test_order``, which flows all probe points in
     one map call: here W is the power sum of the coefficient fields at one
     point, each residual has its own single-point map call, and the scan,
-    its floor (from the residual at sigma = 0) and its candidate rule are
-    the same.
+    its floor (from the residual at sigma = 0) and its reading are the same:
+    the median of the longest run of consecutive in-band slopes when it
+    holds three or more, else the median of every clean slope.
     """
     inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
     start = np.zeros(exp.mesh.d)
@@ -112,12 +113,18 @@ def single_point_order_reading(exp, qpmap, sigma1=1e-2):
 
     expected = exp.order + 1
     floor = max(1e-13, 100.0 * residual(0.0))
-    best = None
+    ratios = []
     for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
         e1, e2 = residual(sigma), residual(sigma / 2.0)
-        if min(e1, e2) < floor:
-            continue
-        ratio = np.log2(e1 / e2)
-        if best is None or abs(ratio - expected) < abs(best - expected):
-            best = ratio
-    return best
+        ratios.append(None if min(e1, e2) < floor else np.log2(e1 / e2))
+    runs, run = [], []
+    for ratio in ratios + [None]:
+        if ratio is not None and abs(ratio - expected) <= 0.5:
+            run.append(ratio)
+        else:
+            runs.append(run)
+            run = []
+    longest = max(runs, key=len)
+    if len(longest) >= 3:
+        return float(np.median(longest))
+    return float(np.median([r for r in ratios if r is not None]))

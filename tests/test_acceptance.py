@@ -89,7 +89,7 @@ def d2_pipeline():
     t0 = time.perf_counter()
     sol = run_newton(qpmap, *seed, NewtonConfig())
     uns = unstable_expansion(sol, qpmap, m=6)
-    sta = stable_expansion(sol, qpmap, m=6)
+    sta = stable_expansion(sol, qpmap, m=6, unstable=uns)
     torus_tests = torus_suite(qpmap, sol.phi, tol=1e-10)
     order_tests = [test_order(uns, qpmap), test_order(sta, qpmap)]
     wall = time.perf_counter() - t0

@@ -204,6 +204,9 @@ class TestTorusCommand:
         assert hist[-1]["invariance"] <= 1e-10
         eigs = report["solution"]["eigenvalues"]
         assert eigs[-1] == pytest.approx(275.85, rel=1e-3)
+        # the pendulum is reversible: its torus is its own mirror image
+        assert 0.0 <= report["reversibility"] <= 1e-13
+        assert "reversibility: " in (out / "torus.log").read_text()
 
     def test_map_eval_fraction_is_a_fraction(self, run_dir):
         # the map evaluations of Newton and of the tests, over the wall time of both
@@ -283,13 +286,31 @@ class TestManifoldCommand:
             assert all(t["passed"] for t in entry["tests"])
 
     def test_report_transport_tails(self, run_dir):
-        # per branch: order (as a string) -> relative tail of its transport
+        # per branch: order (as a string) -> relative tail of its transport;
+        # the reflected stable branch reports the unstable transport's tails
         out, _ = run_dir
         report = json.loads((out / "manifold_report.json").read_text())
         for branch in ("unstable", "stable"):
             tails = report["branches"][branch]["transport_tails"]
             assert list(tails) == ["2", "3", "4"]
             assert all(isinstance(t, float) and 0.0 <= t < 1e-6 for t in tails.values())
+        branches = report["branches"]
+        assert branches["unstable"]["derived_from"] is None
+        assert branches["stable"]["derived_from"] == "unstable"
+        assert branches["stable"]["transport_tails"] == branches["unstable"]["transport_tails"]
+
+    def test_stable_branch_alone(self, run_dir, tmp_path):
+        # without the unstable branch the stable one transports it itself:
+        # the same coefficients as a run of both
+        out, _ = run_dir
+        config = tmp_path / "stable.ini"
+        config.write_text(CONFIG_D1.replace("branches = unstable stable", "branches = stable"))
+        argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(argv + ["--resume", str(out / "torus")]) == 0
+        assert not (tmp_path / "manifold_unstable.json").exists()
+        for k in range(5):
+            name = f"manifold_stable.a{k}.bin"
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
     def test_other_mesh_refused(self, run_dir, tmp_path, capsys):
         out, _ = run_dir
@@ -300,19 +321,27 @@ class TestManifoldCommand:
         assert "does not match the configured mesh" in capsys.readouterr().err
 
     def test_auto_scaling_reexpands(self, run_dir, tmp_path, monkeypatch):
-        # an estimated radius outside [0.1, 10] re-expands with sigma scaled by it
+        # an estimated radius outside [0.1, 10] re-expands with sigma scaled
+        # by it.  The branch's true radius is 3.5, so at 0.05 test 4's scan
+        # reaches its floor after two sigmas (5.00, 4.99), a short but clean
+        # plateau.  The reflected stable branch takes the unstable one's
+        # scaling and radius: no second expansion, no third transport
         out, _ = run_dir
         config = tmp_path / "auto.ini"
         config.write_text(CONFIG_D1.replace("scaling = 1.0", "scaling = auto"))
-        monkeypatch.setattr(cli, "estimate_radius", lambda exp: 0.05)
+        radii = []
+        monkeypatch.setattr(cli, "estimate_radius", lambda exp: radii.append(exp.branch) or 0.05)
         argv = ["manifold", "--config", str(config), "--out", str(tmp_path)]
         assert cli.main(argv + ["--resume", str(out / "torus")]) == 0
+        assert radii == ["unstable"]
         report = json.loads((tmp_path / "manifold_report.json").read_text())
         for branch in ("unstable", "stable"):
             entry = report["branches"][branch]
             assert entry["scaling"] == 0.05
             assert entry["estimated_radius"] == 0.05
             assert max(entry["order_errors"]) <= 1e-10
+            order = entry["tests"][1]
+            assert order["passed"] and len(order["context"]["plateau"]) >= 2
 
     def test_order_one_reports_are_strict_json(self, run_dir, tmp_path):
         # an order-1 expansion has no order >= 2 to estimate a radius from:

@@ -241,6 +241,18 @@ _ONE_PLACE = {
         ("qptori.cli._build_map",),
         {("cli.py", "main")},
     ),
+    "reflection": (
+        "theta -> -theta is an index permutation of the grid, exact only as "
+        "fourier.reflect_grid writes it; a second copy could disagree with it",
+        ("numpy.flip*", "numpy.roll*"),
+        {("fourier.py", "reflect_grid")},
+    ),
+    "reversor": (
+        "whether a map is reversible (a field's reversor, on an r = 1 lift) is decided "
+        "once, for the manifold expansions and the torus report alike",
+        ("*.reversor",),
+        {("manifold.py", "_reversor")},
+    ),
     "environment": (
         "run settings come from the config file and the command line only",
         ("os.environ*", "os.getenv*"),
@@ -350,6 +362,12 @@ def test_eig_runs_only_in_the_eigenbasis_solve(path):
 def test_cli_reads_and_builds_in_one_place():
     _check_one_place("artifact_read", SRC / "cli.py")
     _check_one_place("run_build", SRC / "cli.py")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_reflection_and_reversor_in_one_place(path):
+    _check_one_place("reflection", path)
+    _check_one_place("reversor", path)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -6,7 +6,7 @@ import pytest
 from qptori import jets
 from qptori.errors import SpectrumError
 from qptori.flowmap import PoincareSpec, QPVectorField
-from qptori.fourier import FourierField, MeshSpec, shift_grid
+from qptori.fourier import FourierField, MeshSpec, reflect_grid, shift_grid
 from qptori.manifold import (
     ManifoldExpansion,
     eigen_pick,
@@ -14,9 +14,10 @@ from qptori.manifold import (
     stable_expansion,
     unstable_expansion,
 )
+from qptori.models import PendulumField, pendulum_field
 from qptori.multishoot import LiftedMap
 from qptori.torus import NewtonConfig, run_newton, solve_cohomological
-from qptori.verify import test_order, torus_suite
+from qptori.verify import reversibility, test_order, torus_suite
 
 from conftest import newton_seed, pendulum_setup, single_point_order_reading
 
@@ -27,10 +28,42 @@ test_order.__test__ = False
 @pytest.fixture(scope="module")
 def d1_manifolds(d1_torus):
     P, qpmap, sol = d1_torus
-    return (
-        unstable_expansion(sol, qpmap, m=6),
-        stable_expansion(sol, qpmap, m=6),
-    )
+    uns = unstable_expansion(sol, qpmap, m=6)
+    return uns, stable_expansion(sol, qpmap, m=6, unstable=uns)
+
+
+@pytest.fixture(scope="module")
+def desk_manifolds(d2_torus):
+    """Both order-6 branches of the desk torus (d=2, N=31), as the CLI makes them."""
+    P, qpmap, sol = d2_torus
+    uns = unstable_expansion(sol, qpmap, m=6)
+    return uns, stable_expansion(sol, qpmap, m=6, unstable=uns)
+
+
+class NoReversor(PendulumField):
+    """The pendulum without its declared reversor: its stable branch is transported."""
+
+    reversor = None
+
+
+class WrongReversor(PendulumField):
+    """The pendulum declaring (1, 1), which is not a reversor of it."""
+
+    reversor = (1, 1)
+
+
+def _inverse_transports(monkeypatch, qpmap):
+    """A list that records the order of every transport through P^{-1}."""
+    calls = []
+    transport = qpmap.transport_series
+
+    def counting(tables, thetas, order, inverse=False):
+        if inverse:
+            calls.append(order)
+        return transport(tables, thetas, order, inverse=inverse)
+
+    monkeypatch.setattr(qpmap, "transport_series", counting)
+    return calls
 
 
 class TestEigenPick:
@@ -88,15 +121,21 @@ class TestCohoManifold:
 
 
 class TestExpansions:
-    @pytest.mark.parametrize("index", [0, 1], ids=["unstable", "stable"])
-    def test_seed_orders(self, d1_torus, d1_manifolds, index):
+    @pytest.mark.parametrize(
+        "index, tol_a0, tol_a1",
+        # the reflected stable branch carries the torus's symmetry error
+        # (5.0e-14) and the noise of C's stable column (1.2e-11)
+        [(0, 0.0, 1e-14), (1, 1e-13, 1e-10)],
+        ids=["unstable", "stable"],
+    )
+    def test_seed_orders(self, d1_torus, d1_manifolds, index, tol_a0, tol_a1):
         # both branches sit on the plain grid: a_0 is the torus, a_1 = C v
         _, _, sol = d1_torus
         exp = d1_manifolds[index]
         assert exp.order == 6
-        assert np.array_equal(exp.coeffs[0].values, sol.phi.values)
+        assert np.abs(exp.coeffs[0].values - sol.phi.values).max() <= tol_a0
         a1 = sol.C @ exp.v
-        assert np.abs(exp.coeffs[1].values - a1).max() < 1e-14
+        assert np.abs(exp.coeffs[1].values - a1).max() <= tol_a1
 
     def test_per_order_errors_small(self, d1_manifolds):
         for exp in d1_manifolds:
@@ -147,33 +186,99 @@ class TestExpansions:
                     assert np.abs(w - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
                     assert np.array_equal(exp.evaluate(theta, sigma), w)
 
-    def test_reversibility_relates_branches(self):
-        # for the unforced pendulum, (x, y) -> (x, -y) with time reversal
-        # maps the unstable manifold of (pi, 0) onto the stable one; the two
-        # expansions agree up to that flip and a sigma rescaling
-        field, mesh, P = pendulum_setup(1, 15, eps=0.0)
-        qpmap = LiftedMap(P)
-        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
-        uns = unstable_expansion(sol, qpmap, m=4)
-        sta = stable_expansion(sol, qpmap, m=4)
-        flip = np.array([1.0, -1.0])
-
-        def average(f):
-            return f.coeffs[(0,) * f.mesh.d].real / f.mesh.M
-
-        # the sigma scale between the parametrizations comes from order 1
-        u1 = average(uns.coeffs[1])
-        s1 = average(sta.coeffs[1])
-        c = s1[1] / (flip[1] * u1[1])
-        for k in range(2, 5):
-            lhs = average(sta.coeffs[k])
-            rhs = c**k * flip * average(uns.coeffs[k])
-            assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
+    def test_reversibility_relates_branches(self, d1_torus, d1_manifolds):
+        # the stable branch transported through P^{-1}, on the same pendulum
+        # without its reversor, agrees with the reflected one up to the
+        # noise that C's stable column leaves in the transported a_k
+        P, _, sol = d1_torus
+        qpmap = LiftedMap(PoincareSpec(NoReversor(P.field.params), tol=P.tol))
+        transported = stable_expansion(sol, qpmap, m=6)
+        assert transported.derived_from is None
+        reflected = d1_manifolds[1]
+        for a, b in zip(transported.coeffs, reflected.coeffs):
+            scale = np.abs(a.values).max()
+            assert np.abs(a.values - b.values).max() <= 1e-8 * scale
 
     def test_order_too_low(self, d1_torus):
         _, qpmap, sol = d1_torus
         with pytest.raises(ValueError):
             unstable_expansion(sol, qpmap, m=0)
+
+
+class TestReflection:
+    """A reversible field's stable branch is its reflected unstable branch."""
+
+    @pytest.mark.parametrize("fixture", ["d1_manifolds", "desk_manifolds"])
+    def test_every_order_is_reflected(self, request, fixture):
+        uns, sta = request.getfixturevalue(fixture)
+        R = np.array([1.0, -1.0])
+        assert (uns.derived_from, sta.derived_from) == (None, "unstable")
+        assert sta.transport_tails == uns.transport_tails
+        for a_u, a_s in zip(uns.coeffs, sta.coeffs):
+            assert np.array_equal(a_s.values, R * reflect_grid(a_u.values, a_u.mesh))
+
+    def test_desk_pivot_sign(self, d2_torus, desk_manifolds):
+        # the reflected a_1 lies on the side of C v_s that eigen_pick's pivot
+        # rule picked, at its scale, up to the noise of C's stable column
+        _, _, sol = d2_torus
+        sta = desk_manifolds[1]
+        Cv = sol.C @ sta.v
+        gauge = np.vdot(sta.coeffs[1].values, Cv) / np.vdot(Cv, Cv)
+        assert abs(gauge - 1.0) <= 1e-9
+
+    def test_desk_accuracy(self, d2_torus, desk_manifolds):
+        _, qpmap, sol = d2_torus
+        assert reversibility(qpmap, sol.phi) <= 1e-13
+        for exp in desk_manifolds:
+            assert max(exp.order_errors) <= 1e-10, (exp.branch, exp.order_errors)
+            rep = test_order(exp, qpmap)
+            assert rep.passed and abs(rep.measured - 7.0) <= 0.5, str(rep)
+
+    def test_sign_follows_the_pivot(self):
+        # for alpha > 1 the pivot of v_u and v_s is the velocity, which R
+        # flips: sigma changes sign, and with it every odd order
+        field = pendulum_field(d=1, alpha=1.2)
+        mesh = MeshSpec((31,))
+        qpmap = LiftedMap(PoincareSpec(field))
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        uns = unstable_expansion(sol, qpmap, m=4)
+        sta = stable_expansion(sol, qpmap, m=4, unstable=uns)
+        R = np.array([1.0, -1.0])
+        for k, (a_u, a_s) in enumerate(zip(uns.coeffs, sta.coeffs)):
+            assert np.array_equal(a_s.values, (-1.0) ** k * R * reflect_grid(a_u.values, mesh))
+        # lambda_u is 975 here, and both transported branches read up to
+        # 2.1e-10; the other sign would read O(1) at odd orders
+        assert max(sta.order_errors) <= 1e-9, sta.order_errors
+
+    def test_wrong_reversor_is_caught(self, d1_torus):
+        # the stable branch's own transport through P^{-1} checks the reflection
+        P, _, sol = d1_torus
+        qpmap = LiftedMap(PoincareSpec(WrongReversor(P.field.params), tol=P.tol))
+        exp = stable_expansion(sol, qpmap, m=4)
+        assert exp.derived_from == "unstable"
+        assert max(exp.order_errors) > 1e-3, exp.order_errors
+
+    def test_mismatched_unstable_refused(self, d1_torus, d1_manifolds):
+        # the reflection takes the unstable branch at the stable one's order
+        # and scaling, or none at all; it never transports a second copy
+        _, qpmap, sol = d1_torus
+        uns, sta = d1_manifolds
+        for m, c, given in [(6, 2.0, uns), (4, 1.0, uns), (6, 1.0, sta)]:
+            with pytest.raises(ValueError, match="reflects the unstable one"):
+                stable_expansion(sol, qpmap, m=m, c=c, unstable=given)
+
+    def test_lift_keeps_the_transport(self, monkeypatch):
+        # reversal maps section j/r onto section (r-j)/r: an r = 2 lift
+        # transports its stable branch, orders 2..m and the error check
+        field, mesh, P = pendulum_setup(1, 31, r=2)
+        qpmap = LiftedMap(P)
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        assert reversibility(qpmap, sol.phi) is None
+        calls = _inverse_transports(monkeypatch, qpmap)
+        exp = stable_expansion(sol, qpmap, m=3)
+        assert exp.derived_from is None
+        assert calls == [2, 3, 3]
+        assert max(exp.order_errors) <= 1e-10, exp.order_errors
 
 
 class TestRadius:
@@ -273,6 +378,21 @@ class TestOtherField:
         _, _, branches, *_ = damped_run
         for exp in branches:
             assert max(exp.order_errors) <= 1e-10, (exp.branch, exp.order_errors)
+
+    def test_seed_orders_and_transport(self, damped_run, monkeypatch):
+        # no reversor: both branches transported, a_0 the torus and a_1 = C v
+        field, sol, branches, *_ = damped_run
+        qpmap = LiftedMap(PoincareSpec(field))
+        assert reversibility(qpmap, sol.phi) is None
+        for exp in branches:
+            assert exp.derived_from is None
+            assert np.array_equal(exp.coeffs[0].values, sol.phi.values)
+            assert np.abs(exp.coeffs[1].values - sol.C @ exp.v).max() < 1e-14
+        calls = _inverse_transports(monkeypatch, qpmap)
+        again = stable_expansion(sol, qpmap, m=4, unstable=branches[0])
+        assert calls == [2, 3, 4, 4]
+        for a, b in zip(again.coeffs, branches[1].coeffs):
+            assert np.array_equal(a.values, b.values)
 
     def test_no_warning(self, damped_run):
         caught = damped_run[-1]

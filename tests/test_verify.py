@@ -4,6 +4,7 @@ import pytest
 from qptori.fourier import FourierField, MeshSpec
 from qptori.manifold import ManifoldExpansion
 from qptori.verify import (
+    _plateau,
     default_gamma,
     test_invariance,
     test_order,
@@ -196,6 +197,47 @@ class TestOrder:
         rep = test_order(exp, qpmap)
         assert rep.passed
         assert abs(rep.measured - 5.0) <= 0.5
+
+    @pytest.mark.parametrize(
+        "scan, expected, passed",
+        # scans of the forced pendulum (None: a floor skip)
+        [
+            ([2.79, 2.95, 3.03, 3.11, 3.22, 3.48, 4.26, 2.36, 0.83], 2, False),
+            ([2.77, 2.92, 2.97, 2.99, 3.00, 3.00, 3.00, 3.00, 3.00], 3, True),
+            ([4.76, 4.92, 4.97, 4.99, 5.00, 4.99, None, None, None], 5, True),
+            ([6.76, 6.92, 6.97, 6.99, None, None, None, None, None], 7, True),
+            ([6.76, 6.92, 6.97, 6.99, 6.97, None, None, None, None], 7, True),
+            ([4.79, 4.98, 5.09, 5.22, 5.51, 6.65, 4.26, None, None], 4, False),
+            ([6.0, 6.9, 7.0, None, 7.1, 7.2, 5.0, 7.0, 7.0], 7, False),
+            # the d=1 order-4 branch at scaling 0.05, 1/70 of its radius:
+            # the scan reaches the floor after two sigmas
+            ([5.00, 4.99, None, None, None, None, None, None, None], 5, True),
+            # one clean slope (the same branch at scaling 0.03) is no plateau
+            ([5.00, None, None, None, None, None, None, None, None], 5, False),
+            ([5.00, 3.90, None, None, None, None, None, None, None], 5, False),
+            ([5.00, None, 4.99, None, None, None, None, None, None], 5, False),
+        ],
+    )
+    def test_plateau_rule(self, scan, expected, passed):
+        # a pass needs three consecutive clean slopes in the band, or every
+        # clean slope of a shorter scan (two at least), and reads their
+        # median; a floor skip breaks a run
+        measured, plateau, ok = _plateau(scan, expected)
+        assert ok == passed
+        run = [scan[i] for i in plateau]
+        assert all(abs(r - expected) <= 0.5 for r in run)
+        if passed:
+            assert measured == np.median(run)
+
+    def test_order_one_stable_fails(self, d1_torus):
+        # its scan reads 2.79-4.26 and then 2.36 at sigma = 1.8e-4, a single
+        # slope in the band [1.5, 2.5] on the way to the floor: not a plateau
+        from qptori.manifold import stable_expansion
+
+        _, qpmap, sol = d1_torus
+        rep = test_order(stable_expansion(sol, qpmap, m=1), qpmap)
+        assert not rep.passed
+        assert len(rep.context["plateau"]) < 3
 
     @pytest.mark.parametrize("branch", ["unstable", "stable"])
     def test_odd_order_reads_above_its_band(self, d1_torus, branch):

@@ -154,6 +154,8 @@ class RunConfig:
         for branch in self.branches:
             if branch not in ("unstable", "stable"):
                 raise ValueError(f"unknown branch {branch!r} (use unstable and/or stable)")
+        if len(set(self.branches)) < len(self.branches):
+            raise ValueError(f"branches repeats a branch: {' '.join(self.branches)}")
 
     @classmethod
     def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
@@ -285,7 +287,8 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     log(f"eigenvalue magnitudes: {', '.join(f'{v:.15e}' for v in eigs)}")
     for t in tests:
         log(str(t))
-    log("reversibility: " + ("none (no reversor)" if reversal is None else f"{reversal:.3e}"))
+    no_reading = "none (no reversor on this map: none declared, or r > 1)"
+    log(f"reversibility: {no_reading if reversal is None else f'{reversal:.3e}'}")
     sol.save(str(out / "torus"))
     wall, frac = timing["wall_time"], timing["profile"]["map_eval_fraction"]
     log(f"wall time {wall:.2f}s, map evaluation {100*frac:.1f}%, workers {timing['workers']}")

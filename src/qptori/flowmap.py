@@ -32,7 +32,8 @@ ncoeff*n*batch), so each stage combination, the update and each error
 estimate is a single ``np.dot``; every stage argument is built in place in
 one buffer per span, which the stage function reads during its call only.
 Grid sweeps share one step sequence per chunk, which makes every map
-evaluation deterministic and independent of the worker count.
+evaluation deterministic and independent of the worker count.  A sweep runs
+at its spec's ``tol`` alone: a loose Newton pass sweeps a loosened copy.
 
 The tableau is the Dormand-Prince 8(5,3) pair DOP853 of Hairer, Norsett and
 Wanner (Solving Ordinary Differential Equations I, 2nd ed., Springer 1993).
@@ -337,17 +338,15 @@ class PoincareSpec:
 
 
 def _advance_chunk(payload):
-    P, x, thetas, frac0, frac1, spec, tol = payload
+    P, x, thetas, frac0, frac1, spec = payload
     theta_start = np.empty((x.shape[0], P.field.d + 1))
     theta_start[:, 0] = frac0
     theta_start[:, 1:] = thetas
     span = (frac1 - frac0) * P.field.delta
-    return integrate_span(P.field, x, theta_start, span, spec, tol)
+    return integrate_span(P.field, x, theta_start, span, spec, P.tol)
 
 
-def section_map(
-    P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse: bool = False, tol=None
-):
+def section_map(P: PoincareSpec, j: int, x, thetas, spec: jets.JetSpec, inverse: bool = False):
     """Map jets between consecutive shooting sections (j = 1..r).
 
     Forward: from section j to section j+1, a span of delta/r starting at
@@ -356,8 +355,7 @@ def section_map(
     with ``ncoeff`` set by ``spec`` (a real state is a ``jets.REAL`` jet,
     ``x[..., None]``); ``thetas`` is (batch, d).  The batch is cut into
     fixed-size chunks (independent of the worker count) and dispatched to
-    the pool.  ``tol`` is the integrator tolerance of this sweep; None
-    means ``P.tol``.
+    the pool; every chunk is integrated at ``P.tol``.
     """
     if not 1 <= j <= P.r:
         raise ValueError(f"section index {j} outside 1..{P.r}")
@@ -367,9 +365,8 @@ def section_map(
         frac0, frac1 = frac1, frac0
     x = np.asarray(x, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    tol = P.tol if tol is None else tol
     payloads = [
-        (P, x[i : i + _CHUNK], thetas[i : i + _CHUNK], frac0, frac1, spec, tol)
+        (P, x[i : i + _CHUNK], thetas[i : i + _CHUNK], frac0, frac1, spec)
         for i in range(0, x.shape[0], _CHUNK)
     ]
     with profile.phase("map_eval"):

@@ -33,7 +33,8 @@ class LiftedMap:
     This is the grid-sweep map of the torus and manifold algorithms for
     every section count r >= 1; with r = 1 it is the plain return map.  It
     offers ``n``, ``d``, ``rho``, ``images``, ``images_and_jacobian`` and
-    ``transport_series`` over batches of grid points.
+    ``transport_series`` over batches of grid points, all at ``P.tol``
+    (Newton's loose passes sweep the lift of a loosened spec).
     """
 
     def __init__(self, P: PoincareSpec):
@@ -56,13 +57,12 @@ class LiftedMap:
             else:
                 yield j, j, j % r + 1
 
-    def _sweep(self, y, thetas, spec, inverse, tol=None):
-        """Lifted jets (batch, n*r, ncoeff) through every section on its route,
-        at integrator tolerance ``tol`` (None: ``P.tol``)."""
+    def _sweep(self, y, thetas, spec, inverse):
+        """Lifted jets (batch, n*r, ncoeff) through every section on its route."""
         out = np.empty_like(y)
         for j, src, dst in self._routes(inverse):
             out[:, self._block(dst)] = section_map(
-                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse, tol=tol
+                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse
             )
         return out
 
@@ -70,15 +70,13 @@ class LiftedMap:
         x = np.asarray(x, dtype=float)
         return self._sweep(x[..., None], thetas, jets.REAL, inverse)[..., 0]
 
-    def images_and_jacobian(self, x, thetas, inverse=False, tol=None):
-        """Images and lifted differentials; ``tol`` is the integrator
-        tolerance of this sweep (None: ``P.tol``), which Newton loosens on
-        its early passes."""
+    def images_and_jacobian(self, x, thetas):
+        """Forward images and lifted differentials."""
         x = np.asarray(x, dtype=float)
         seeds, spec = jets.seed_gradient(x.reshape(x.shape[0], self.r, -1))
-        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, inverse, tol)
+        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, False)
         jac = np.zeros((x.shape[0], self.n, self.n))
-        for _, src, dst in self._routes(inverse):
+        for _, src, dst in self._routes(False):
             jac[:, self._block(dst), self._block(src)] = out[:, self._block(dst), 1:]
         return out[..., 0].copy(), jac  # a view would keep the whole jet array alive
 

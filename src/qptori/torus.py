@@ -17,11 +17,12 @@ Eisenstat and Walker 1996): a correction needs the map only about as
 accurately as the residual it leaves behind, and the integrator's step
 count grows like tol^(-1/8).  Pass 0 sweeps at ``_FIRST_PASS_TOL`` and
 pass k at ``P.tol * r^4`` clamped to [P.tol, _FIRST_PASS_TOL], where r is
-the larger residual of pass k-1.  A loose pass whose invariance residual
-reads under ``_RESWEEP_BELOW`` (or under the Newton tolerance) is swept
-again at P.tol before anything reads it, so no correction near the
-solution and no convergence decision rests on a loose sweep.  Each history
-entry records its sweep's tolerance as ``map_tol``.
+the larger residual of pass k-1; each sweeps the lift of a copy of P
+with that ``tol``.  A loose pass whose invariance residual reads under
+``_RESWEEP_BELOW`` (or under the Newton tolerance) is swept again at P.tol
+before anything reads it, so no correction near the solution and no
+convergence decision rests on a loose sweep.  Each history entry records
+its sweep's tolerance as ``map_tol``.
 
 The torus, Floquet and manifold equations are one equation,
 ``X(theta+rho) A - B X(theta) = G`` on grid values: A = 1 for the torus,
@@ -41,13 +42,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import fourier  # analyze and synthesize looked up per call, where a tracer wraps them
 from .errors import ArtifactError, ConvergenceError, ResonanceError
 from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
+from .multishoot import LiftedMap
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
 _MONITOR_RATIO = 1e4  # resonance monitor: a mode this far above the previous shell's median
@@ -336,16 +338,15 @@ def run_newton(
 ) -> TorusSolution:
     """Alternate torus and Floquet corrections until both residuals pass.
 
-    ``qpmap`` provides ``rho`` and ``images_and_jacobian`` over batches of
-    mesh points (the return map, or its multiple-shooting lift).  Each pass
+    ``qpmap`` is the return map, or its multiple-shooting lift.  Each pass
     makes one map sweep at the current phi: its differentials finish the
     previous pass's Floquet half-step, its images and the updated C and B
     give both residuals, and, unless those pass or a stop applies, the
     torus half-step moves phi for the next pass.  ``history`` holds one
     entry per pass; a pass sweeps once, or twice when its loose sweep
     reads a small residual (module docstring).  ``C0`` holds the grid
-    values of the seed change, shape mesh.shape + (n, n).  ``qpmap.P.tol``
-    is the configured integrator tolerance.
+    values of the seed change, shape mesh.shape + (n, n).  A full pass
+    sweeps ``qpmap``, at ``qpmap.P.tol``, and a loose pass a loosened lift.
     """
     mesh = phi0.mesh
     n = phi0.n
@@ -364,9 +365,8 @@ def run_newton(
     for it in range(cfg.max_iter + 1):
         map_tol = max(full_tol, min(_FIRST_PASS_TOL, full_tol * prev_worst**4))
         while True:
-            images, jacs = qpmap.images_and_jacobian(
-                phi.values.reshape(mesh.M, n), thetas, tol=map_tol
-            )
+            sweep = qpmap if map_tol == full_tol else LiftedMap(replace(qpmap.P, tol=map_tol))
+            images, jacs = sweep.images_and_jacobian(phi.values.reshape(mesh.M, n), thetas)
             # the invariance error phi(theta+rho) - P(phi(theta), theta)
             y = phi.shift(rho).values.reshape(mesh.M, n) - images
             del images  # only y, of the same size, stays alive through the pass

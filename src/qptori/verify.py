@@ -101,20 +101,18 @@ def test_tail(field: FourierField, tol: float = DEFAULT_TOL) -> TestReport:
     )
 
 
-def test_shifted(qpmap, phi: FourierField, gamma=None, tol: float = DEFAULT_TOL) -> TestReport:
-    """Test 3: the invariance residual evaluated on the gamma-shifted mesh.
+def test_shifted(qpmap, phi: FourierField, tol: float = DEFAULT_TOL) -> TestReport:
+    """Test 3: the invariance residual on the ``default_gamma``-shifted mesh.
 
     The shifted values come from the trigonometric series (not the stored
     samples), so an under-resolved or aliased solution fails here.
     """
-    if gamma is None:
-        gamma = default_gamma(phi.mesh.d)
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = default_gamma(phi.mesh.d)
     res = _shifted_residual(qpmap, phi, gamma)
     return TestReport(3, "shifted", res, tol, res <= tol, {"gamma": gamma.tolist()})
 
 
-def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestReport:
+def test_order(exp: ManifoldExpansion, qpmap) -> TestReport:
     """Test 4: the two-point slope log2(eps(sigma)/eps(sigma/2)) near m+1.
 
     eps(sigma) is the truncation residual of the invariance equation across
@@ -123,7 +121,7 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     branch was expanded on, P from s = theta for the unstable branch, and
     P^{-1} from s = theta + rho back to theta for the stable one, where the
     forward form would bury the sigma^{m+1} signal under the contraction by
-    lambda.  Scans sigma1 down one decade; all 19 probe points (each sigma
+    lambda.  Scans 1e-2 down two decades; all 19 probe points (each sigma
     and its half, and sigma = 0) go through the map in one call.  eps(0)
     is the torus error, which no truncation order explains: a candidate
     whose smaller residual is under ``max(1e-13, 100 eps(0))`` is flagged
@@ -139,7 +137,7 @@ def test_order(exp: ManifoldExpansion, qpmap, sigma1: float = 1e-2) -> TestRepor
     expected = m + 1
     inverse, _, rho_F, lam_F = _direction(exp.branch, exp.lam, exp.rho)
     start = (theta - rho_F) % 1.0 if inverse else theta
-    scan = sigma1 * 10.0 ** (-np.arange(9) / 4.0)
+    scan = 1e-2 * 10.0 ** (-np.arange(9) / 4.0)
     sigmas = np.concatenate([scan, scan / 2.0, [0.0]])
     x = exp.evaluate(start, sigmas)
     img = qpmap.images(x, np.tile(start, (len(sigmas), 1)), inverse=inverse)

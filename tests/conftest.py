@@ -89,7 +89,7 @@ def lift_spectral_errors(lifted, single, P, npoints=5):
     return eig_err, comp_err
 
 
-def single_point_order_reading(exp, qpmap, sigma1=1e-2):
+def single_point_order_reading(exp, qpmap):
     """Test 4's reading at theta = 0 with every probe point flowed alone.
 
     The reference for ``verify.test_order``, which flows all probe points in
@@ -114,7 +114,7 @@ def single_point_order_reading(exp, qpmap, sigma1=1e-2):
     expected = exp.order + 1
     floor = max(1e-13, 100.0 * residual(0.0))
     ratios = []
-    for sigma in sigma1 * 10.0 ** (-np.arange(9) / 4.0):
+    for sigma in 1e-2 * 10.0 ** (-np.arange(9) / 4.0):
         e1, e2 = residual(sigma), residual(sigma / 2.0)
         ratios.append(None if min(e1, e2) < floor else np.log2(e1 / e2))
     runs, run = [], []

@@ -104,6 +104,7 @@ class TestConfig:
             ("test_tol = 1e-10", "test_tol = -1"),
             ("max_iter = 12", "max_iter = -3"),
             ("branches = unstable stable", "branches ="),
+            ("branches = unstable stable", "branches = stable unstable stable"),
             ("order = 4", "oder = 4"),
             ("[run]", "[runn]"),
             ("[model]", "[DEFAULT]\nalpha = 0.5\n\n[model]"),
@@ -130,6 +131,7 @@ class TestConfig:
             "test-tol-negative",
             "max-iter-negative",
             "no-branches",
+            "repeated-branch",
             "misspelled-key",
             "unknown-section",
             "default-entry",
@@ -222,6 +224,16 @@ class TestTorusCommand:
         argv = ["torus", "--config", str(config), "--out", str(tmp_path)]
         assert cli.main(argv + ["--resume", str(out / "torus")]) == 0
         assert json.loads((tmp_path / "torus_report.json").read_text())["mesh"] == [31]
+
+    def test_multi_section_reversibility_line(self, tmp_path):
+        # the pendulum declares a reversor, but no reading is taken on an
+        # r = 2 lift; the log line says why without claiming there is none
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_D1.replace("sections = 1", "sections = 2"))
+        assert cli.main(["torus", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "torus_report.json").read_text())["reversibility"] is None
+        log = (tmp_path / "torus.log").read_text()
+        assert "reversibility: none (no reversor on this map: none declared, or r > 1)\n" in log
 
 
 class TestResume:

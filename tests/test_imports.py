@@ -253,6 +253,12 @@ _ONE_PLACE = {
         ("*.reversor",),
         {("manifold.py", "_reversor")},
     ),
+    "tolerance": (
+        "a sweep's integrator tolerance is its PoincareSpec's tol: the integrator reads "
+        "it per chunk, and Newton reads it to loosen a copy of the spec for a loose pass",
+        ("*.P.tol",),
+        {("flowmap.py", "_advance_chunk"), ("torus.py", "run_newton")},
+    ),
     "environment": (
         "run settings come from the config file and the command line only",
         ("os.environ*", "os.getenv*"),
@@ -368,6 +374,22 @@ def test_cli_reads_and_builds_in_one_place():
 def test_reflection_and_reversor_in_one_place(path):
     _check_one_place("reflection", path)
     _check_one_place("reversor", path)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_tolerance_read_in_one_place(path):
+    _check_one_place("tolerance", path)
+
+
+def test_tolerance_rule_refuses_a_per_call_tolerance(tmp_path):
+    # a section_map that takes its own tol, falling back on the spec's
+    path = tmp_path / "flowmap.py"
+    path.write_text(
+        "def section_map(P, j, x, thetas, spec, inverse=False, tol=None):\n"
+        "    tol = P.tol if tol is None else tol\n"
+    )
+    with pytest.raises(AssertionError, match="section_map reads qptori.flowmap.P.tol"):
+        _check_one_place("tolerance", path)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

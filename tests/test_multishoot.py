@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,11 @@ def r2_solution(d1_torus):
 class TestLift:
     @pytest.mark.parametrize("r", [1, 3])
     def test_lift_blocks_are_section_maps(self, r):
-        # bitwise: each destination block of images, differentials and
-        # series, forward and inverse, is its own section map of its source
-        # block, and the Jacobian blocks off the cyclic route are exactly 0;
-        # with r = 1 the lift is the plain return map
+        # bitwise: each destination block of images and series, forward and
+        # inverse, and of the forward differentials is its own section map
+        # of its source block, and the Jacobian blocks off the cyclic route
+        # are exactly 0; the inverse section maps' differentials invert the
+        # forward blocks.  With r = 1 the lift is the plain return map
         field, mesh, P = pendulum_setup(1, 31, r=r)
         lift = LiftedMap(P)
         n = field.n
@@ -34,9 +37,9 @@ class TestLift:
         x = np.tile([np.pi, 0.0], r) + 0.05 * rng.standard_normal((4, n * r))
         theta = rng.random((4, 1))
         tables = np.stack([x, 0.1 * rng.standard_normal((4, n * r))])
+        vals, jac = lift.images_and_jacobian(x, theta)
         for inverse in (False, True):
             images = lift.images(x, theta, inverse=inverse)
-            vals, jac = lift.images_and_jacobian(x, theta, inverse=inverse)
             series = lift.transport_series(tables, theta, 3, inverse=inverse)
             on_route = np.zeros((r, r), dtype=bool)
             for j in range(1, r + 1):
@@ -48,16 +51,23 @@ class TestLift:
                 plain = section_map(P, j, x[:, s, None], theta, jets.REAL, inverse=inverse)
                 assert np.array_equal(images[:, t], plain[..., 0])
 
-                seeds, spec = jets.seed_gradient(x[:, s])
-                grad = section_map(P, j, seeds, theta, spec, inverse=inverse)
-                assert np.array_equal(vals[:, t], grad[..., 0])
-                assert np.array_equal(jac[:, t, s], grad[..., 1:])
-
                 seeds, spec = jets.seed_series(tables[:, :, s], 3)
                 img = section_map(P, j, seeds, theta, spec, inverse=inverse)
                 assert np.array_equal(series[:, :, t], np.moveaxis(img, -1, 0))
-            blocks = jac.reshape(4, r, n, r, n).transpose(0, 1, 3, 2, 4)
-            assert not blocks[:, ~on_route].any()
+
+                if inverse:  # back from the forward image of block dst
+                    seeds, spec = jets.seed_gradient(vals[:, s])
+                    back = section_map(P, j, seeds, (theta + lift.rho) % 1.0, spec, inverse=True)
+                    assert np.abs(back[..., 0] - x[:, t]).max() < 1e-11
+                    assert np.abs(back[..., 1:] @ jac[:, s, t] - np.eye(n)).max() < 1e-9
+                else:
+                    seeds, spec = jets.seed_gradient(x[:, s])
+                    grad = section_map(P, j, seeds, theta, spec)
+                    assert np.array_equal(vals[:, t], grad[..., 0])
+                    assert np.array_equal(jac[:, t, s], grad[..., 1:])
+            if not inverse:
+                blocks = jac.reshape(4, r, n, r, n).transpose(0, 1, 3, 2, 4)
+                assert not blocks[:, ~on_route].any()
         assert np.array_equal(lift.rho, (field.omega[1:] / field.omega[0] / r) % 1.0)
 
     @staticmethod
@@ -67,23 +77,16 @@ class TestLift:
         x = np.tile([np.pi, 0.0], r) + 0.05 * rng.standard_normal((npts, field.n * r))
         return P, LiftedMap(P), x, rng.random((npts, 1))
 
-    def test_configured_tolerance_is_the_default(self):
-        # a sweep that passes P.tol is the sweep that passes none, bitwise
-        P, lift, x, theta = self.sweep_points(r=2)
-        for inverse in (False, True):
-            default = lift.images_and_jacobian(x, theta, inverse=inverse)
-            explicit = lift.images_and_jacobian(x, theta, inverse=inverse, tol=P.tol)
-            for a, b in zip(default, explicit):
-                assert np.array_equal(a, b)
-
     def test_loose_sweep_independent_of_workers(self, monkeypatch):
-        # a loose tolerance reaches every chunk, in-process and in the pool
+        # a loosened lift's tolerance reaches every chunk, in-process and in
+        # the pool
         monkeypatch.setattr(flowmap, "_CHUNK", 16)  # 4 chunks per section
         P, lift, x, theta = self.sweep_points(r=2)
-        loose = lift.images_and_jacobian(x, theta, tol=1e-10)
+        loose_lift = LiftedMap(replace(P, tol=1e-10))
+        loose = loose_lift.images_and_jacobian(x, theta)
         try:
             parallel.set_workers(2)
-            pooled = lift.images_and_jacobian(x, theta, tol=1e-10)
+            pooled = loose_lift.images_and_jacobian(x, theta)
         finally:
             parallel.set_workers(1)
         full = lift.images_and_jacobian(x, theta)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qptori import verify
+from qptori import flowmap, verify
 from qptori.errors import ConvergenceError, ResonanceError
 from qptori.fourier import FourierField, MeshSpec, shift_grid
 from qptori.multishoot import LiftedMap
@@ -320,6 +320,25 @@ class TestNewton:
         assert tols[0] > P.tol
         assert tols[-2:] == [P.tol, P.tol]
         assert all(P.tol <= t <= 1e-10 for t in tols)
+
+    def test_sweeps_integrate_at_their_history_tolerance(self, monkeypatch):
+        # the tolerance each pass records is the one its integrator spans get
+        field, mesh, P = pendulum_setup(1, 31)
+        qpmap = LiftedMap(P)
+        seed = newton_seed(qpmap, mesh)
+        tols = []
+        integrate_span = flowmap.integrate_span
+
+        def recording(*args):
+            tols.append(args[5])  # field, y0, theta_start, t_span, spec, tol
+            return integrate_span(*args)
+
+        monkeypatch.setattr(flowmap, "integrate_span", recording)
+        sol = run_newton(qpmap, *seed, NewtonConfig())
+        assert sol.history[0]["map_tol"] > P.tol
+        assert tols[0] == sol.history[0]["map_tol"]
+        assert tols[-1] == P.tol
+        assert set(tols) == {h["map_tol"] for h in sol.history}
 
     def test_converged_seed_swept_again_at_full_tolerance(self, d1_torus, monkeypatch):
         # a loose first pass that reads a small residual is swept again, and

@@ -113,12 +113,6 @@ class TestTail:
 
 
 class TestShifted:
-    def test_gamma_zero_equals_test1(self, exact_fixture):
-        _, qpmap, phi = exact_fixture
-        r1 = test_invariance(qpmap, phi)
-        r3 = test_shifted(qpmap, phi, gamma=np.zeros(1))
-        assert abs(r1.measured - r3.measured) < 1e-14
-
     def test_exact_circle_shifted(self, exact_fixture):
         _, qpmap, phi = exact_fixture
         rep = test_shifted(qpmap, phi)
@@ -164,28 +158,33 @@ class QuadraticMap:
 
 
 class TestOrder:
-    def _linear_expansion(self, lam):
+    def _linear_expansion(self, lam, size=1.0):
         mesh = MeshSpec((5,))
         zero = FourierField.from_values(mesh, np.zeros(mesh.shape + (2,)))
-        a1 = FourierField.from_values(mesh, np.broadcast_to([1.0, 0.5], mesh.shape + (2,)).copy())
+        a1 = FourierField.from_values(
+            mesh, np.broadcast_to([size, 0.5 * size], mesh.shape + (2,)).copy()
+        )
         return ManifoldExpansion(
             "unstable", lam, np.array([1.0, 0.5]), [zero, a1], 1.0, np.array([0.17])
         )
 
     def test_quadratic_truncation_ratio(self):
         # W = sigma*v truncated at m=1 under a quadratic map: the residual is
-        # exactly the quadratic term, so the two-point slope is 2
+        # exactly the quadratic term q (sigma v)^2, so the two-point slope is
+        # 2 at every sigma of the scan
         lam = 2.0
         exp = self._linear_expansion(lam)
-        rep = test_order(exp, QuadraticMap(lam, q=0.3, d=1), sigma1=1e-3)
+        rep = test_order(exp, QuadraticMap(lam, q=0.3, d=1))
         assert rep.passed
         assert rep.measured == pytest.approx(2.0, abs=0.05)
         assert rep.context["expected"] == 2
 
     def test_round_off_sigma_flagged(self):
+        # a_1 scaled by 1e-10 puts every residual of the scan, at most
+        # 0.3 (1e-12)^2, under the round-off floor
         lam = 2.0
-        exp = self._linear_expansion(lam)
-        rep = test_order(exp, QuadraticMap(lam, q=0.3, d=1), sigma1=1e-12)
+        exp = self._linear_expansion(lam, size=1e-10)
+        rep = test_order(exp, QuadraticMap(lam, q=0.3, d=1))
         assert not rep.passed
         assert all(entry.get("note") == "floor" for entry in rep.context["scan"])
 

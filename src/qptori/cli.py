@@ -7,12 +7,14 @@ and ``--threads`` overrides ``[run] threads``.  The model is the built-in
 forced pendulum; other fields run through the Python API.  The config is
 checked and the run (mesh and lift) built before anything is written.
 ``torus``, ``manifold`` and ``verify`` end with a machine-readable JSON
-report plus a human log in the output directory when they exit 0 or 1;
-``slice`` writes only its CSV, and a run that stops with exit 2-6 writes
-neither.  Exit codes: 0 success, 1 generic/test failure, 2 no convergence,
-3 resonance, 4 unsupported spectrum, 5 unreadable or mismatched artifact,
-config or command line, or an output that cannot be written, 6 integration
-failure.
+report plus a human log in the output directory when they exit 0 or 1,
+except when a manifold order's transport tail exceeds 1e-6: that stops the
+run with exit 1 and one ``error:`` line, and only branches finished before
+it keep their artifacts.  ``slice`` writes only its CSV, and a run that
+stops with exit 2-6 writes neither.  Exit codes: 0 success, 1 generic/test
+failure or that stop, 2 no convergence, 3 resonance, 4 unsupported
+spectrum, 5 unreadable or mismatched artifact, config or command line, or
+an output that cannot be written, 6 integration failure.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from . import models, parallel
 from .errors import ArtifactError, QptoriError
 from .flowmap import PoincareSpec
 from .fourier import MeshSpec
-from .manifold import (
-    ManifoldExpansion,
-    _reversor,
-    estimate_radius,
-    stable_expansion,
-    unstable_expansion,
-)
+from .manifold import ManifoldExpansion, estimate_radius, stable_expansion, unstable_expansion
 from .multishoot import LiftedMap, lifted_seed
 from .torus import NewtonConfig, TorusSolution, run_newton
 from .verify import reversibility, test_order, test_tail, torus_suite
@@ -314,7 +310,7 @@ def _expand(sol, lift: LiftedMap, branch: str, m: int, scaling: str | float, uns
     branch's (expansion, radius), if made: the stable branch of a reversible
     field reflects that expansion at its scaling, and shares its radius,
     since the reflection keeps every coefficient's norm."""
-    if branch == "stable" and unstable is not None and _reversor(lift) is not None:
+    if branch == "stable" and unstable is not None and lift.reversor is not None:
         exp, radius = unstable
         return stable_expansion(sol, lift, m, exp.scaling, unstable=exp), radius
     fn = unstable_expansion if branch == "unstable" else stable_expansion

@@ -18,10 +18,6 @@ class ResonanceError(QptoriError):
 
     exit_code = 3
 
-    def __init__(self, message, kappa=None):
-        super().__init__(message)
-        self.kappa = kappa
-
 
 class SpectrumError(QptoriError):
     """The Floquet matrix has no eigenvalue of the requested kind."""
@@ -36,10 +32,6 @@ class ArtifactError(QptoriError):
 
 
 class IntegrationError(QptoriError):
-    """Adaptive step-size underflow; carries the time that was reached."""
+    """Adaptive step-size underflow or step limit; the message names the time reached."""
 
     exit_code = 6
-
-    def __init__(self, message, t_reached=None):
-        super().__init__(message)
-        self.t_reached = t_reached

@@ -184,7 +184,8 @@ class QPVectorField:
     A reversible field may declare its reversor: a +-1 vector R on the
     state such that (x, t, theta) -> (R x, -t, -theta) maps solutions to
     solutions, so that the return map satisfies R P(R x, -theta) =
-    P^{-1}(x, theta).  The default, None, declares nothing.
+    P^{-1}(x, theta).  The default, None, declares nothing.  ``LiftedMap``
+    reads and checks the declaration once, as ``LiftedMap.reversor``.
     """
 
     n: int
@@ -267,7 +268,7 @@ def integrate_span(
         if direction * (t + h) > direction * t_span:
             h = t_span - t  # clamp the final step
         if abs(h) < 1e-15 * max(1.0, abs(t_span)):
-            raise IntegrationError(f"step size underflow at t={t:.6g}", t_reached=t)
+            raise IntegrationError(f"step size underflow at t={t:.6g}")
         for i in range(1, _N_STAGES):
             np.dot(_A[i, :i], K2[:i], out=yi_flat)
             yi *= h
@@ -309,7 +310,7 @@ def integrate_span(
         else:
             factor = max(_MIN_FACTOR, _SAFETY * err_norm**_ERR_EXPONENT)
         h *= factor
-    raise IntegrationError(f"no convergence in {_MAX_STEPS} steps", t_reached=t)
+    raise IntegrationError(f"no convergence in {_MAX_STEPS} steps, stopped at t={t:.6g}")
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ Floquet matrix B^{-1} and multiplier 1/lambda_s, on the same phi and C.
 Both branches store a_k(theta) on the plain grid.
 
 A field may declare a reversor R (``QPVectorField.reversor``), with
-R P(R x, -theta) = P^{-1}(x, theta) (Devaney 1976; Lamb and Roberts 1998).
-On an r = 1 lift its stable expansion is then the reflected unstable one,
-a_k^s(theta) = R a_k^u(-theta) at every order, up to the sign of sigma that
+R P(R x, -theta) = P^{-1}(x, theta) (Devaney 1976; Lamb and Roberts 1998),
+which an r = 1 lift holds as ``LiftedMap.reversor``.  On such a map the
+stable expansion is the reflected unstable one, a_k^s(theta) =
+R a_k^u(-theta) at every order, up to the sign of sigma that
 ``eigen_pick``'s pivot rule fixes.  theta -> -theta permutes the grid
 (``fourier.reflect_grid``), so the reflection is exact; only the stable
 branch's error transport through P^{-1} runs, as an independent check.
@@ -257,19 +258,6 @@ def _expansion_errors(qpmap, coeffs, branch: str, lam: float, rho) -> list[float
     return errors
 
 
-def _reversor(qpmap) -> np.ndarray | None:
-    """The reversor R of the map's field as a float vector, for an r = 1 lift;
-    None for a field that declares none and for every lift with r > 1, where
-    reversal maps section j/r onto section (r-j)/r."""
-    R = qpmap.P.field.reversor
-    if R is None or qpmap.r != 1:
-        return None
-    R = np.asarray(R, dtype=float)
-    if R.shape != (qpmap.n,) or not (np.abs(R) == 1.0).all():
-        raise ValueError(f"a reversor is a +-1 vector of length {qpmap.n}, got {R.tolist()}")
-    return R
-
-
 def _orders(sol: TorusSolution, qpmap, branch: str, m: int, c: float):
     """``(lam, v, a_0 .. a_m, tails)`` of one branch, order by order through
     the map of its direction."""
@@ -310,7 +298,7 @@ def unstable_expansion(sol: TorusSolution, qpmap, m: int, c: float = 1.0) -> Man
 def stable_expansion(
     sol: TorusSolution, qpmap, m: int, c: float = 1.0, unstable: ManifoldExpansion | None = None
 ) -> ManifoldExpansion:
-    """The stable branch.  For a field with a reversor R on an r = 1 lift it
+    """The stable branch.  On a map with a reversor R (``qpmap.reversor``) it
     is the reflected unstable expansion, a_k^s(theta) = s^k R a_k^u(-theta)
     for every order, a_0 and a_1 included; otherwise it is the
     order-by-order expansion through the inverse map.
@@ -322,7 +310,7 @@ def stable_expansion(
     that its pivot rule picked.  The order errors come from the stable
     branch's own transport through P^{-1}.
     """
-    R = _reversor(qpmap)
+    R = qpmap.reversor
     if R is None:
         return _expand(sol, qpmap, "stable", m, c)
     if unstable is None:

@@ -35,6 +35,11 @@ class LiftedMap:
     offers ``n``, ``d``, ``rho``, ``images``, ``images_and_jacobian`` and
     ``transport_series`` over batches of grid points, all at ``P.tol``
     (Newton's loose passes sweep the lift of a loosened spec).
+
+    ``reversor`` is the field's declared R as floats on an r = 1 lift, where
+    R P(R x, -theta) = P^{-1}(x, theta); None for a field that declares none
+    and for r > 1, where reversal maps section j/r onto (r-j)/r.  A
+    declaration that is not a +-1 vector of length ``field.n`` is refused.
     """
 
     def __init__(self, P: PoincareSpec):
@@ -43,6 +48,14 @@ class LiftedMap:
         self.n = P.field.n * P.r
         self.d = P.field.d
         self.rho = P.rho_section
+        R = P.field.reversor
+        if R is not None:
+            R = np.asarray(R, dtype=float)
+            if R.shape != (P.field.n,) or not (np.abs(R) == 1.0).all():
+                raise ValueError(
+                    f"a reversor is a +-1 vector of length {P.field.n}, got {R.tolist()}"
+                )
+        self.reversor = R if P.r == 1 else None
 
     def _block(self, j: int) -> slice:
         n = self.P.field.n

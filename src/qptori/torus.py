@@ -209,8 +209,7 @@ def _solve_eigenbasis(G: np.ndarray, mesh: MeshSpec, B, A, rho, zero_mean=False)
         kappa = tuple(int(k) for k in mesh.freqs().reshape(-1, mesh.d)[worst])
         if smallest < 1e-13:
             raise ResonanceError(
-                f"singular block at kappa={kappa} (divisor {smallest:.3e}, cond {cond:.3e})",
-                kappa=kappa,
+                f"singular block at kappa={kappa} (divisor {smallest:.3e}, cond {cond:.3e})"
             )
         warnings.warn(
             f"small divisor {smallest:.3e} at kappa={kappa} (cond {cond:.3e})",

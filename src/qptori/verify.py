@@ -20,8 +20,9 @@ Four checks, all reusable on persisted artifacts:
    clean sigmas in the band, or on every clean sigma of a shorter scan
    when there are at least two.
 
-``reversibility`` reports, for a field with a reversor, how far the torus
-is from its mirror image; it is a reading, not a fifth test.
+``reversibility`` reports, for a map with a reversor
+(``LiftedMap.reversor``), how far the torus is from its mirror image; it
+is a reading, not a fifth test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fourier import FourierField, reflect_grid
-from .manifold import ManifoldExpansion, _direction, _reversor
+from .manifold import ManifoldExpansion, _direction
 from .torus import _point_norm_max
 
 DEFAULT_TOL = 1e-10
@@ -187,11 +188,11 @@ def _plateau(ratios: list, expected: int) -> tuple[float, list[int], bool]:
 
 
 def reversibility(qpmap, phi: FourierField) -> float | None:
-    """max over the grid of |phi(-theta) - R phi(theta)| for a field with a
-    reversor R on an r = 1 lift, None otherwise.  A reversible map's unique
+    """max over the grid of |phi(-theta) - R phi(theta)| for a map with a
+    reversor R (``qpmap.reversor``), None otherwise.  A reversible map's unique
     torus is symmetric, so this reads round-off on a resolved mesh; it is
     reported, not a pass/fail test."""
-    R = _reversor(qpmap)
+    R = qpmap.reversor
     if R is None:
         return None
     return _point_norm_max(reflect_grid(phi.values, phi.mesh) - R * phi.values)

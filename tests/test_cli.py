@@ -355,6 +355,22 @@ class TestManifoldCommand:
             order = entry["tests"][1]
             assert order["passed"] and len(order["context"]["plateau"]) >= 2
 
+    def test_fatal_transport_tail_stops_without_report(self, tmp_path, capsys):
+        # at N = 13 the order-2 transport leaves a relative tail of 2.7e-6,
+        # over the fatal 1e-6: exit 1 with one error line, and neither the
+        # manifold report nor its log
+        config = tmp_path / "coarse.ini"
+        config.write_text(CONFIG_D1.replace("N = 31", "N = 13").replace("order = 4", "order = 2"))
+        argv = ["--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(["torus"] + argv) in (0, 1)
+        capsys.readouterr()
+        assert cli.main(["manifold"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: order-2 transport tail 2.6") and err.count("\n") == 1
+        assert "exceeds 1e-06" in err
+        assert not (tmp_path / "manifold_report.json").exists()
+        assert not (tmp_path / "manifold.log").exists()
+
     def test_order_one_reports_are_strict_json(self, run_dir, tmp_path):
         # an order-1 expansion has no order >= 2 to estimate a radius from:
         # the report says null, not the non-JSON Infinity

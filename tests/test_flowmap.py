@@ -84,19 +84,18 @@ class TestIntegrate:
     def test_blowup_raises(self):
         field = BlowupField()
         y0 = np.array([[1.0]])[..., None]
-        with pytest.raises(IntegrationError, match="step size underflow") as err:
+        with pytest.raises(IntegrationError, match="step size underflow at t=") as err:
             integrate_span(field, y0, np.zeros((1, 2)), 2.0, jets.REAL, 1e-12)
-        assert err.value.t_reached is not None
-        assert err.value.t_reached < 2.0
+        assert float(str(err.value).rpartition("t=")[2]) < 2.0
 
     def test_step_limit_raises(self, monkeypatch):
         # a smooth span that needs more step attempts than the limit allows
         monkeypatch.setattr(flowmap, "_MAX_STEPS", 5)
         y0 = np.array([[1.0, 0.0]])[..., None]
         span = 6 * np.pi
-        with pytest.raises(IntegrationError, match="no convergence in 5 steps") as err:
+        with pytest.raises(IntegrationError, match="in 5 steps, stopped at t=") as err:
             integrate_span(RotationField(), y0, np.zeros((1, 2)), span, jets.REAL, 1e-12)
-        assert 0.0 < err.value.t_reached < span
+        assert 0.0 < float(str(err.value).rpartition("t=")[2]) < span
 
     def test_backward_forward_roundtrip(self):
         field = pendulum_field(d=1)

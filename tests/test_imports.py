@@ -5,9 +5,11 @@ pool, every private module-level function, class or constant is read in
 its own module, every public one (and every public method or property) is
 read somewhere in the package or documented in ``qptori.__all__`` or the
 README, every function parameter and local name is read, each name that
-``_ONE_PLACE`` covers is read only by its owners, every name the
-benchmark's tracer wraps still exists, is called where it is wrapped and
-reads its sizes where they are, and the benchmark's CLI config still loads.
+``_ONE_PLACE`` covers is read only by its owners, no module reads another
+one's private names beyond those ``_PRIVATE_IMPORTS`` lists, every name
+the benchmark's tracer wraps still exists, is called where it is wrapped
+and reads its sizes where they are, and the benchmark's CLI config still
+loads.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for one.  ``__init__.py`` is exempt from the import check: its imports are
@@ -249,9 +251,9 @@ _ONE_PLACE = {
     ),
     "reversor": (
         "whether a map is reversible (a field's reversor, on an r = 1 lift) is decided "
-        "once, for the manifold expansions and the torus report alike",
-        ("*.reversor",),
-        {("manifold.py", "_reversor")},
+        "once, where the lift is built, for the manifold expansions and the torus report alike",
+        ("*.field.reversor",),
+        {("multishoot.py", "LiftedMap.__init__")},
     ),
     "tolerance": (
         "a sweep's integrator tolerance is its PoincareSpec's tol: the integrator reads "
@@ -376,6 +378,14 @@ def test_reflection_and_reversor_in_one_place(path):
     _check_one_place("reversor", path)
 
 
+def test_reversor_rule_refuses_a_second_reading(tmp_path):
+    # an expansion that decides reversibility from the field itself
+    path = tmp_path / "manifold.py"
+    path.write_text("def stable_expansion(sol, qpmap, m):\n    R = qpmap.P.field.reversor\n")
+    with pytest.raises(AssertionError, match="stable_expansion reads qptori.manifold.qpmap.P"):
+        _check_one_place("reversor", path)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_tolerance_read_in_one_place(path):
     _check_one_place("tolerance", path)
@@ -402,6 +412,67 @@ def test_environment_is_not_read(path):
 )
 def test_map_layer_does_not_import_algorithms(name):
     _check_one_place("layering", SRC / f"{name}.py")
+
+
+# Each private name of one package module that another reads, as (file,
+# "module.name").  The list may only shrink: every entry couples two modules
+# past the public names of one of them.
+_PRIVATE_IMPORTS = {
+    ("manifold.py", "torus._json_floats"),
+    ("manifold.py", "torus._matvec"),
+    ("manifold.py", "torus._point_norm_max"),
+    ("verify.py", "manifold._direction"),
+    ("verify.py", "torus._point_norm_max"),
+}
+_STEMS = {p.stem for p in SRC.glob("*.py")}
+
+
+def _private_imports(path: Path) -> dict[str, int]:
+    """Each private name of another package module that the file reads, as
+    ``module.name`` -> the first line that reads it.  An imported name that
+    nothing reads is ``test_module_imports_are_used``'s to catch."""
+    found = {}
+    for name, _, line in _reads(path):
+        parts = name.split(".")
+        if len(parts) < 3 or parts[0] != "qptori" or parts[1] not in _STEMS - {path.stem}:
+            continue
+        if parts[2].startswith("_") and not parts[2].startswith("__"):
+            found.setdefault(f"{parts[1]}.{parts[2]}", line)
+    return found
+
+
+def _check_private_imports(path: Path) -> None:
+    stray = [
+        f"{path.name}:{line} reads {name}"
+        for name, line in _private_imports(path).items()
+        if (path.name, name) not in _PRIVATE_IMPORTS
+    ]
+    assert not stray, f"private names read from another module: {', '.join(stray)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_imports_are_listed(path):
+    _check_private_imports(path)
+
+
+def test_private_imports_list_is_current():
+    found = {(p.name, name) for p in SRC.glob("*.py") for name in _private_imports(p)}
+    stale = sorted(f"{f} {name}" for f, name in _PRIVATE_IMPORTS - found)
+    assert not stale, f"no longer read, drop from _PRIVATE_IMPORTS: {', '.join(stale)}"
+
+
+@pytest.mark.parametrize(
+    "name, imported", [("cli.py", "_reversor"), ("verify.py", "_direction, _reversor")]
+)
+def test_private_imports_refuse_a_new_one(tmp_path, name, imported):
+    # the private reversor helper that cli and verify once read from manifold;
+    # verify's _direction stays on the list
+    path = tmp_path / name
+    path.write_text(
+        f"from .manifold import {imported}\n\n\ndef f(q):\n    return {imported}, _reversor(q)\n"
+    )
+    with pytest.raises(AssertionError, match=rf"module: {name}:5 reads manifold\._reversor\n"):
+        _check_private_imports(path)
 
 
 def _load_perfbench(name):

@@ -316,6 +316,20 @@ class TestPersistence:
             ManifoldExpansion.load(str(tmp_path / "nothing"))
 
 
+class TestTransportTail:
+    """A transported order whose relative Fourier tail is too large for the
+    mesh warns above 1e-10 and stops the expansion above 1e-6."""
+
+    def test_coarse_mesh_warns(self):
+        # at N = 15 the order-2 tail reads 2.3e-7: a warning, not a stop
+        field, mesh, P = pendulum_setup(1, 15)
+        qpmap = LiftedMap(P)
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        with pytest.warns(RuntimeWarning, match="order-2 transport has relative tail 2.3"):
+            exp = unstable_expansion(sol, qpmap, m=2, c=1.0)
+        assert exp.transport_tails[2] == pytest.approx(2.3e-7, rel=0.05)
+
+
 class DampedPendulum(QPVectorField):
     """(x, y)' = (y, -0.8 sin x - 0.05 y + 0.01 / (3 + sum_i cos 2 pi theta_i)).
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qptori import flowmap, jets, parallel
-from qptori.flowmap import section_map
+from qptori.flowmap import PoincareSpec, section_map
 from qptori.manifold import eigen_pick, unstable_expansion
+from qptori.models import PendulumField, PendulumParams, pendulum_field
 from qptori.multishoot import LiftedMap, lifted_seed
 from qptori.torus import NewtonConfig, run_newton
 
@@ -108,6 +109,35 @@ class TestLift:
         img = lift.images(x, theta)
         back = lift.images(img, (theta + lift.rho) % 1.0, inverse=True)
         assert np.abs(back - x).max() < 1e-11
+
+
+def declaring(reversor) -> PendulumField:
+    """The d=1 pendulum declaring ``reversor`` in place of its own."""
+    return type("Declaring", (PendulumField,), {"reversor": reversor})(PendulumParams(d=1))
+
+
+class TestReversor:
+    """``LiftedMap.reversor``: the field's declaration, checked once when the
+    lift is built and held only on an r = 1 lift."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize(
+        "declared", [(1, -1, 1), (1, 2), (1, 0)], ids=["length-3", "two", "zero"]
+    )
+    def test_malformed_refused_at_construction(self, declared, r):
+        with pytest.raises(ValueError, match=r"a reversor is a \+-1 vector of length 2, got"):
+            LiftedMap(PoincareSpec(declaring(declared), r=r))
+
+    def test_pendulum_on_one_section(self):
+        R = LiftedMap(PoincareSpec(pendulum_field(d=1))).reversor
+        assert R.dtype == float and R.tolist() == [1.0, -1.0]
+
+    def test_none_on_two_sections(self):
+        # reversal maps section j/r onto section (r-j)/r, not onto itself
+        assert LiftedMap(PoincareSpec(pendulum_field(d=1), r=2)).reversor is None
+
+    def test_none_when_undeclared(self):
+        assert LiftedMap(PoincareSpec(declaring(None))).reversor is None
 
 
 class TestLiftedNewton:

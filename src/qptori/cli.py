@@ -267,6 +267,10 @@ def cmd_torus(cfg: RunConfig, run: tuple, out: Path, resume: str | None) -> int:
     else:
         phi0, C0, B0 = lifted_seed(lift, mesh, np.array([np.pi, 0.0]))  # the pendulum's saddle
         log("seed: builtin")
+    if lift.reversor is None:  # run_newton's own choice of sweep
+        log("newton sweeps: full return map")
+    else:
+        log("newton sweeps: half-period map, section 0 to 1/2 (reversible)")
     ncfg = NewtonConfig(tol=cfg.newton_tol, max_iter=cfg.max_iter)
     parallel.profile.reset()
     t0 = time.perf_counter()

@@ -115,8 +115,16 @@ def synthesize(coeffs: np.ndarray, mesh: MeshSpec) -> np.ndarray:
 
 def mode_phases(mesh: MeshSpec, alpha) -> np.ndarray:
     """exp(2 pi i <kappa, alpha>) for every stored mode kappa, shape cshape:
-    the factor by which a shift by alpha (turns) multiplies each coefficient."""
-    return np.exp(2j * np.pi * (mesh.freqs() @ np.asarray(alpha, dtype=float)))
+    the factor by which a shift by alpha (turns) multiplies each coefficient.
+    The few shifts a run makes (its rotation, above all) are cached, read-only."""
+    return _mode_phases(mesh, tuple(np.asarray(alpha, dtype=float).tolist()))
+
+
+@lru_cache(maxsize=4)
+def _mode_phases(mesh: MeshSpec, alpha: tuple) -> np.ndarray:
+    phases = np.exp(2j * np.pi * (mesh.freqs() @ np.array(alpha)))
+    phases.flags.writeable = False
+    return phases
 
 
 def _contract(work: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -299,6 +307,10 @@ def reflect_grid(values: np.ndarray, mesh: MeshSpec) -> np.ndarray:
     mesh.shape + any trailing shape.  The grid maps onto itself under
     theta -> -theta (mod 1), kappa_j -> -kappa_j mod N_j on every angle, so
     this is an index permutation: exact, and no transform."""
-    for axis in range(mesh.d):
-        values = np.roll(np.flip(values, axis), 1, axis)
-    return values
+    return values[_reflection_index(mesh.shape)]
+
+
+@lru_cache(maxsize=None)
+def _reflection_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The open-mesh index of reflect_grid: kappa_j -> -kappa_j mod N_j on every angle."""
+    return np.ix_(*[-np.arange(N) % N for N in shape])

@@ -20,6 +20,8 @@ section manifold coefficients are block j of each lifted a_k.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import jets
@@ -34,7 +36,10 @@ class LiftedMap:
     every section count r >= 1; with r = 1 it is the plain return map.  It
     offers ``n``, ``d``, ``rho``, ``images``, ``images_and_jacobian`` and
     ``transport_series`` over batches of grid points, all at ``P.tol``
-    (Newton's loose passes sweep the lift of a loosened spec).
+    (Newton's loose passes sweep the lift of a loosened spec).  On an r = 1
+    lift, ``images_and_jacobian(..., half=True)`` sweeps the half-period map
+    Q instead, from section 0 to section 1/2, so that P = R Q^{-1} R Q for a
+    reversible field (Lamb and Roberts 1998).
 
     ``reversor`` is the field's declared R as floats on an r = 1 lift, where
     R P(R x, -theta) = P^{-1}(x, theta); None for a field that declares none
@@ -61,21 +66,26 @@ class LiftedMap:
         n = self.P.field.n
         return slice((j - 1) * n, j * n)
 
-    def _routes(self, inverse: bool):
-        """(section j, input block, output block) triples of the lifted map."""
+    def _routes(self, inverse: bool, half: bool = False):
+        """(spec, section j, input block, output block) of every section map
+        on the lifted map's route.  ``half`` routes the half-period map of an
+        r = 1 lift: the first section map of its two-section split."""
+        if half:
+            yield replace(self.P, r=2), 1, 1, 1
+            return
         r = self.r
         for j in range(1, r + 1):
             if inverse:
-                yield j, j % r + 1, j
+                yield self.P, j, j % r + 1, j
             else:
-                yield j, j, j % r + 1
+                yield self.P, j, j, j % r + 1
 
-    def _sweep(self, y, thetas, spec, inverse):
+    def _sweep(self, y, thetas, spec, inverse, half=False):
         """Lifted jets (batch, n*r, ncoeff) through every section on its route."""
         out = np.empty_like(y)
-        for j, src, dst in self._routes(inverse):
+        for P, j, src, dst in self._routes(inverse, half):
             out[:, self._block(dst)] = section_map(
-                self.P, j, y[:, self._block(src)], thetas, spec, inverse=inverse
+                P, j, y[:, self._block(src)], thetas, spec, inverse=inverse
             )
         return out
 
@@ -83,13 +93,16 @@ class LiftedMap:
         x = np.asarray(x, dtype=float)
         return self._sweep(x[..., None], thetas, jets.REAL, inverse)[..., 0]
 
-    def images_and_jacobian(self, x, thetas):
-        """Forward images and lifted differentials."""
+    def images_and_jacobian(self, x, thetas, half=False):
+        """Forward images and lifted differentials; with ``half``, those of
+        the half-period map Q of an r = 1 lift, from section 0 to 1/2."""
+        if half and self.r != 1:
+            raise ValueError(f"the half-period map is an r = 1 sweep, not r = {self.r}")
         x = np.asarray(x, dtype=float)
         seeds, spec = jets.seed_gradient(x.reshape(x.shape[0], self.r, -1))
-        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, False)
+        out = self._sweep(seeds.reshape(x.shape + (-1,)), thetas, spec, False, half)
         jac = np.zeros((x.shape[0], self.n, self.n))
-        for _, src, dst in self._routes(False):
+        for _, _, src, dst in self._routes(False, half):
             jac[:, self._block(dst), self._block(src)] = out[:, self._block(dst), 1:]
         return out[..., 0].copy(), jac  # a view would keep the whole jet array alive
 

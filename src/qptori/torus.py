@@ -24,6 +24,27 @@ before anything reads it, so no correction near the solution and no
 convergence decision rests on a loose sweep.  Each history entry records
 its sweep's tolerance as ``map_tol``.
 
+A reversible map (a lift with ``reversor`` R, which implies r = 1) is
+P = R Q^{-1} R Q, with Q the half-period map from section 0 to section
+1/2 (Lamb and Roberts 1998), and its torus is symmetric, phi(theta) =
+R phi(-theta).  Newton then sweeps only Q, half the integration of a full
+pass.  It runs on the grid shifted by -c, 2c = rho: it iterates
+psi = phi(. - c) and C(. - c), sweeps K(theta) = Q(psi(theta), theta - c),
+and reads P's residual and differential at theta - c from K and its exact
+grid reflection (``_half_period_sweep``); the torus and Floquet halves run
+unchanged with rotation rho.  Shifting K and DQ by -rho onto the plain grid
+instead would interpolate the section-1/2 torus, which needs more modes
+than phi.  The seed and every torus correction are projected onto
+psi(theta) = R psi(rho - theta) in coefficient space; deriving psi from phi
+by a shift on every pass would put round-off into the sweep's input, which
+DP multiplies by lambda_u.  Pass 0 adds the mean reducibility error to the
+seed's B, the differential at one point, whose asymmetric step the
+projection would otherwise cut at lambda_u times the residual.  After each
+Floquet half-step the new C^{-1}(theta + rho) comes from the solved
+equation, (Id + H(theta + rho))^{-1} C^{-1}(theta + rho), not from a
+transform of the new C^{-1}; the full path keeps the transform, so that its
+results stay as they were.
+
 The torus, Floquet and manifold equations are one equation,
 ``X(theta+rho) A - B X(theta) = G`` on grid values: A = 1 for the torus,
 A = lambda^m for manifold order m and A = B, with a zero-average X, for
@@ -48,7 +69,7 @@ import numpy as np
 
 from . import fourier  # analyze and synthesize looked up per call, where a tracer wraps them
 from .errors import ArtifactError, ConvergenceError, ResonanceError
-from .fourier import FourierField, MeshSpec, mode_phases, shift_grid
+from .fourier import FourierField, MeshSpec, mode_phases, reflect_grid, shift_grid
 from .multishoot import LiftedMap
 
 _DIVISOR_WARN = 1e-8  # warn when a cohomological or Floquet divisor falls below this
@@ -289,6 +310,57 @@ def _reducibility_error(
 # -- Newton steps ----------------------------------------------------------
 
 
+def _inv(A: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of n x n matrices.  A 2 x 2 stack takes the
+    adjugate over the determinant, about ten times faster than LAPACK's
+    batched inverse on the grid."""
+    if A.shape[-2:] != (2, 2):
+        return np.linalg.inv(A)
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    out = np.empty_like(A)
+    out[..., 0, 0] = A[..., 1, 1] / det
+    out[..., 1, 1] = A[..., 0, 0] / det
+    out[..., 0, 1] = -A[..., 0, 1] / det
+    out[..., 1, 0] = -A[..., 1, 0] / det
+    return out
+
+
+def _constant(values: np.ndarray, mesh: MeshSpec) -> bool:
+    """Whether grid values of shape mesh.shape + any trailing shape are the
+    same at every point."""
+    flat = values.reshape(mesh.M, -1)
+    return bool((flat == flat[0]).all())
+
+
+def _symmetrize(x: FourierField, R: np.ndarray, rho) -> FourierField:
+    """The part of x with x(theta) = R x(rho - theta): the mean of x and that
+    reflection, whose packed coefficients are R conj(xhat exp(2 pi i <kappa, rho>))."""
+    xhat = x.coeffs
+    mirror = np.conj(xhat * mode_phases(x.mesh, rho)[..., None]) * R
+    return FourierField(x.mesh, x.n, coeffs=0.5 * (xhat + mirror))
+
+
+def _half_period_sweep(qpmap, psi: FourierField, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """P's invariance error y and differential DP on the grid shifted by -c,
+    2c = rho, from one sweep of the half-period map Q (module docstring).
+
+    With K(theta) = Q(psi(theta), theta - c) and G = DQ there, a torus with
+    psi(theta) = R psi(rho - theta) is invariant exactly when K(-theta) =
+    R K(theta), and P = R Q^{-1} R Q gives, to first order in that defect,
+    y(theta) = R G(-theta)^{-1} (K(-theta) - R K(theta)) and DP(theta) =
+    R G(-theta)^{-1} R G(theta).  The reflection is a grid permutation, so
+    nothing is interpolated.  R is ``qpmap.reversor``.  Returns y, shape
+    (M, n), and DP on the grid.
+    """
+    mesh, n, R = psi.mesh, psi.n, qpmap.reversor
+    K, G = qpmap.images_and_jacobian(psi.values.reshape(mesh.M, n), thetas, half=True)
+    K = K.reshape(mesh.shape + (n,))
+    G = G.reshape(mesh.shape + (n, n))
+    RGR = _inv(reflect_grid(G, mesh)) * np.outer(R, R)  # R G(-theta)^{-1} R
+    y = _matvec(RGR, R * reflect_grid(K, mesh) - K)
+    return y.reshape(mesh.M, n), RGR @ G
+
+
 def torus_correction(
     phi: FourierField,
     y_grid: np.ndarray,
@@ -296,17 +368,12 @@ def torus_correction(
     C_inv_shift: np.ndarray,
     B: np.ndarray,
     rho,
-) -> tuple[FourierField, FourierField]:
-    """One torus half-step from the invariance error y = phi(.+rho) - P(phi).
-
-    Returns the corrected parametrization and the correction h itself (for
-    the resonance monitor).
-    """
+) -> FourierField:
+    """One torus half-step from the invariance error y = phi(.+rho) - P(phi):
+    the correction h, which phi + h applies."""
     mesh = phi.mesh
     u = solve_cohomological(-_matvec(C_inv_shift, y_grid), mesh, B, rho)
-    h_vals = _matvec(C, u)
-    h = FourierField.from_values(mesh, h_vals)
-    return FourierField.from_values(mesh, phi.values + h_vals), h
+    return FourierField.from_values(mesh, _matvec(C, u))
 
 
 def floquet_correction(
@@ -318,14 +385,17 @@ def floquet_correction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Floquet half-step from the map differentials on the mesh.
 
-    Returns the corrected change C (Id + H) and matrix B + Avg(R).
+    Returns the corrected change C (Id + H), matrix B' = B + Avg(R), and
+    H(theta + rho) on the grid, which the solved equation gives without a
+    transform: (R - Avg(R) + B' H) B'^{-1}.
     """
     n = B.shape[0]
     R = _reducibility_error(jacs_grid, C, C_inv_shift, B)
     avg = R.reshape(-1, n, n).mean(axis=0)
     B_new = B + avg
-    H = solve_coho_floquet(R - avg, MeshSpec(C.shape[:-2]), B_new, rho)
-    return C @ (np.eye(n) + H), B_new
+    R -= avg
+    H = solve_coho_floquet(R, MeshSpec(C.shape[:-2]), B_new, rho)
+    return C @ (np.eye(n) + H), B_new, (R + B_new @ H) @ np.linalg.inv(B_new)
 
 
 def run_newton(
@@ -346,16 +416,33 @@ def run_newton(
     reads a small residual (module docstring).  ``C0`` holds the grid
     values of the seed change, shape mesh.shape + (n, n).  A full pass
     sweeps ``qpmap``, at ``qpmap.P.tol``, and a loose pass a loosened lift.
+
+    A lift with a reversor R (``qpmap.reversor``) sweeps only the
+    half-period map (module docstring): Newton then runs on psi = phi(. - c)
+    and C(. - c), 2c = rho, on the grid, and ``history`` reads y there.
+    The seed and every torus correction are projected onto the symmetric
+    tori, psi(theta) = R psi(rho - theta), and pass 0 replaces the seed's B,
+    the differential at one point, by B + Avg(R).  A seed that passes at
+    pass 0 is returned as given.
     """
     mesh = phi0.mesh
     n = phi0.n
     rho = np.asarray(qpmap.rho, dtype=float)
-    thetas = mesh.grid()
+    R = qpmap.reversor
+    half = R is not None
+    c = rho / 2.0
+    thetas = (mesh.grid() - c) % 1.0 if half else mesh.grid()
 
     phi, C, B = phi0, np.asarray(C0, dtype=float), np.array(B0, dtype=float)
     if C.shape != mesh.shape + (n, n):
         raise ValueError(f"C0 shape {C.shape} != {mesh.shape + (n, n)}")
-    C_inv_shift = shift_grid(np.linalg.inv(C), mesh, rho)
+    seed = phi, C, B
+    constant_seed = half and _constant(C, mesh) and _constant(phi.values, mesh)
+    if constant_seed:  # lifted_seed's: the shift by -c is the identity, the projection a mean
+        phi = FourierField.from_values(mesh, 0.5 * (phi.values + R * phi.values))
+    elif half:
+        phi, C = _symmetrize(phi.shift(-c), R, rho), shift_grid(C, mesh, -c)
+    C_inv_shift = _inv(C) if constant_seed else shift_grid(_inv(C), mesh, rho)
     history: list[dict] = []
     flags: list[tuple[int, ...]] = []
 
@@ -365,10 +452,13 @@ def run_newton(
         map_tol = max(full_tol, min(_FIRST_PASS_TOL, full_tol * prev_worst**4))
         while True:
             sweep = qpmap if map_tol == full_tol else LiftedMap(replace(qpmap.P, tol=map_tol))
-            images, jacs = sweep.images_and_jacobian(phi.values.reshape(mesh.M, n), thetas)
-            # the invariance error phi(theta+rho) - P(phi(theta), theta)
-            y = phi.shift(rho).values.reshape(mesh.M, n) - images
-            del images  # only y, of the same size, stays alive through the pass
+            if half:
+                y, jacs = _half_period_sweep(sweep, phi, thetas)
+            else:
+                images, jacs = sweep.images_and_jacobian(phi.values.reshape(mesh.M, n), thetas)
+                # the invariance error phi(theta+rho) - P(phi(theta), theta)
+                y = phi.shift(rho).values.reshape(mesh.M, n) - images
+                del images  # only y, of the same size, stays alive through the pass
             res_y = _point_norm_max(y)
             if map_tol == full_tol or res_y > max(_RESWEEP_BELOW, cfg.tol):
                 break
@@ -376,14 +466,24 @@ def run_newton(
             map_tol = full_tol
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
         if it > 0:
-            C, B = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
-            C_inv_shift = shift_grid(np.linalg.inv(C), mesh, rho)
+            C, B, H_shift = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
+            if half:  # C^{-1}(theta + rho) (Id + H(theta + rho))^{-1}, with no transform
+                C_inv_shift = _inv(np.eye(n) + H_shift) @ C_inv_shift
+            else:  # by a transform, which keeps this path's results as they were
+                C_inv_shift = shift_grid(_inv(C), mesh, rho)
 
-        res_q = _point_norm_max(
-            _reducibility_error(jacs_grid, C, C_inv_shift, B).reshape(mesh.shape + (n * n,))
-        )
+        red = _reducibility_error(jacs_grid, C, C_inv_shift, B)
+        if half and it == 0:
+            avg = red.reshape(-1, n, n).mean(axis=0)
+            B = B + avg
+            red -= avg
+        res_q = _point_norm_max(red.reshape(mesh.shape + (n * n,)))
         history.append({"invariance": res_y, "reducibility": res_q, "map_tol": map_tol})
         if res_y <= cfg.tol and res_q <= cfg.tol:
+            if it == 0:
+                phi, C, B = seed
+            elif half:
+                phi, C = phi.shift(c), shift_grid(C, mesh, c)
             return TorusSolution(phi, C, B, rho, history, flags)
 
         worst = max(res_y, res_q)
@@ -402,5 +502,8 @@ def run_newton(
             )
         prev_worst = worst
 
-        phi, h = torus_correction(phi, y.reshape(mesh.shape + (n,)), C, C_inv_shift, B, rho)
+        h = torus_correction(phi, y.reshape(mesh.shape + (n,)), C, C_inv_shift, B, rho)
+        if half:
+            h = _symmetrize(h, R, rho)
+        phi = FourierField.from_values(mesh, phi.values + h.values)
         flags.extend(resonance_monitor(h))

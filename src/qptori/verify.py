@@ -5,8 +5,12 @@ Four checks, all reusable on persisted artifacts:
 1. invariance: max-over-mesh residual of the invariance equation;
 2. tail: size of the two highest Fourier modes per angular direction;
 3. shifted: the invariance residual on a rigidly shifted mesh, which the
-   series can only pass if it actually interpolates between grid points
-   (an aliased solution passes test 1 and fails here);
+   series can only pass if it actually interpolates between grid points.
+   Newton without a reversor drives test 1's own residual to zero, so an
+   aliased solution passes test 1 and fails here.  With a reversor Newton
+   solves the half-period equations on the grid shifted by -rho/2 and never
+   evaluates P on the plain grid: test 1 is then an independent check of P,
+   and on an unresolved mesh it fails like test 3;
 4. order: the truncation-order probe log2(eps(sigma)/eps(sigma/2)), which
    must sit near m+1 for an expansion truncated at order m.  The residual
    is taken on the map the branch was expanded on: P for the unstable

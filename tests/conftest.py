@@ -13,6 +13,14 @@ from qptori import (
 )
 from qptori.flowmap import section_map
 from qptori.manifold import _direction
+from qptori.models import PendulumField
+
+
+class NoReversor(PendulumField):
+    """The pendulum without its declared reversor: Newton sweeps its full
+    return map, and its stable branch is transported."""
+
+    reversor = None
 
 
 def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
@@ -20,6 +28,15 @@ def pendulum_setup(d, N, eps=0.01, tol=1e-14, r=1):
     mesh = MeshSpec((N,) * d)
     P = PoincareSpec(field, tol=tol, r=r)
     return field, mesh, P
+
+
+def pendulum_map(d, N, reversible=True, r=1):
+    """The mesh and the lift of the pendulum, or of the same field without
+    its reversor."""
+    field, mesh, P = pendulum_setup(d, N, r=r)
+    if not reversible:
+        P = PoincareSpec(NoReversor(field.params), tol=P.tol, r=r)
+    return mesh, LiftedMap(P)
 
 
 def rhs_real(field, x, theta):

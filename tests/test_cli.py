@@ -208,7 +208,9 @@ class TestTorusCommand:
         assert eigs[-1] == pytest.approx(275.85, rel=1e-3)
         # the pendulum is reversible: its torus is its own mirror image
         assert 0.0 <= report["reversibility"] <= 1e-13
-        assert "reversibility: " in (out / "torus.log").read_text()
+        log = (out / "torus.log").read_text()
+        assert "reversibility: " in log
+        assert "newton sweeps: half-period map, section 0 to 1/2 (reversible)\n" in log
 
     def test_map_eval_fraction_is_a_fraction(self, run_dir):
         # the map evaluations of Newton and of the tests, over the wall time of both
@@ -234,6 +236,7 @@ class TestTorusCommand:
         assert json.loads((tmp_path / "torus_report.json").read_text())["reversibility"] is None
         log = (tmp_path / "torus.log").read_text()
         assert "reversibility: none (no reversor on this map: none declared, or r > 1)\n" in log
+        assert "newton sweeps: full return map\n" in log
 
 
 class TestResume:
@@ -356,7 +359,7 @@ class TestManifoldCommand:
             assert order["passed"] and len(order["context"]["plateau"]) >= 2
 
     def test_fatal_transport_tail_stops_without_report(self, tmp_path, capsys):
-        # at N = 13 the order-2 transport leaves a relative tail of 2.7e-6,
+        # at N = 13 the order-2 transport leaves a relative tail of 7.6e-6,
         # over the fatal 1e-6: exit 1 with one error line, and neither the
         # manifold report nor its log
         config = tmp_path / "coarse.ini"
@@ -366,7 +369,7 @@ class TestManifoldCommand:
         capsys.readouterr()
         assert cli.main(["manifold"] + argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: order-2 transport tail 2.6") and err.count("\n") == 1
+        assert err.startswith("error: order-2 transport tail 7.6") and err.count("\n") == 1
         assert "exceeds 1e-06" in err
         assert not (tmp_path / "manifold_report.json").exists()
         assert not (tmp_path / "manifold.log").exists()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qptori import flowmap, verify
+from qptori import flowmap, jets, verify
 from qptori.errors import ConvergenceError, ResonanceError
 from qptori.fourier import FourierField, MeshSpec, shift_grid
 from qptori.multishoot import LiftedMap
@@ -17,8 +17,9 @@ from qptori.torus import (
     solve_cohomological,
     torus_correction,
 )
+from qptori.torus import _half_period_sweep
 
-from conftest import newton_seed, pendulum_setup
+from conftest import newton_seed, pendulum_map, pendulum_setup
 
 
 def random_hyperbolic(rng, n):
@@ -255,7 +256,7 @@ class TestNewton:
         images = qpmap.images(flat, mesh.grid())
         y = sol.phi.shift(sol.rho).values.reshape(mesh.M, 2) - images
         C_inv_shift = shift_grid(np.linalg.inv(sol.C), mesh, sol.rho)
-        _, h = torus_correction(
+        h = torus_correction(
             sol.phi, y.reshape(mesh.shape + (2,)), sol.C, C_inv_shift, sol.B, sol.rho
         )
         assert np.abs(h.values).max() < 1e-10
@@ -282,34 +283,72 @@ class TestNewton:
 
     @staticmethod
     def count_sweeps(monkeypatch) -> list:
-        """Record one entry per ``LiftedMap.images_and_jacobian`` call."""
+        """Record one entry per grid sweep of a lift: whether it swept the
+        half-period map."""
         sweeps = []
-        sweep = LiftedMap.images_and_jacobian
+        sweep = LiftedMap._sweep
 
-        def counting(self, *args, **kwargs):
-            sweeps.append(1)
-            return sweep(self, *args, **kwargs)
+        def counting(self, y, thetas, spec, inverse, half=False):
+            sweeps.append(half)
+            return sweep(self, y, thetas, spec, inverse, half)
 
-        monkeypatch.setattr(LiftedMap, "images_and_jacobian", counting)
+        monkeypatch.setattr(LiftedMap, "_sweep", counting)
         return sweeps
 
     def test_max_iter_0_refuses_unconverged_seed(self, monkeypatch):
-        field, mesh, P = pendulum_setup(1, 15)
-        qpmap = LiftedMap(P)
-        seed = newton_seed(qpmap, mesh)  # its single-point sweep is not counted
         sweeps = self.count_sweeps(monkeypatch)
-        with pytest.raises(ConvergenceError, match="no convergence in 0 iterations"):
-            run_newton(qpmap, *seed, NewtonConfig(max_iter=0))
-        assert len(sweeps) == 1  # the one pass that measures the seed
+        for reversible in (True, False):  # the pendulum, and the field without its reversor
+            mesh, qpmap = pendulum_map(1, 15, reversible)
+            seed = newton_seed(qpmap, mesh)  # its single-point sweep is not counted
+            sweeps.clear()
+            with pytest.raises(ConvergenceError, match="no convergence in 0 iterations"):
+                run_newton(qpmap, *seed, NewtonConfig(max_iter=0))
+            assert sweeps == [reversible]  # the one pass that measures the seed
 
     def test_one_sweep_per_history_entry(self, monkeypatch):
-        field, mesh, P = pendulum_setup(1, 31)
-        qpmap = LiftedMap(P)
-        seed = newton_seed(qpmap, mesh)
+        # a reversible map sweeps the half-period map on every pass, and
+        # never the full return map beside it
         sweeps = self.count_sweeps(monkeypatch)
+        for reversible in (True, False):
+            mesh, qpmap = pendulum_map(1, 31, reversible)
+            seed = newton_seed(qpmap, mesh)
+            sweeps.clear()
+            sol = run_newton(qpmap, *seed, NewtonConfig())
+            assert len(sol.history) > 1
+            assert sweeps == [reversible] * len(sol.history)
+
+    @pytest.mark.parametrize(
+        "reversible, r, parts",
+        [(True, 1, 2), (False, 1, 1), (True, 2, 2)],
+        ids=["pendulum", "no-reversor", "pendulum-r2"],
+    )
+    def test_sweep_spans(self, monkeypatch, d1_torus, reversible, r, parts):
+        # every integration span of a reversible r = 1 map covers half the
+        # return time with gradient jets; a full-period sweep would show as
+        # a span of delta.  Without a reversor, and on an r = 2 lift, a span
+        # covers delta / r.  d=1 N=31 is one chunk per section map, so the
+        # spans count the sweeps: r per history entry, plus one for the
+        # converged seed's loose pass, which is swept again
+        mesh, qpmap = pendulum_map(1, 31, reversible, r)
+        seed = newton_seed(qpmap, mesh)
+        spans = []
+        integrate_span = flowmap.integrate_span
+
+        def recording(field, y0, theta_start, t_span, spec, tol):
+            spans.append((t_span, spec))
+            return integrate_span(field, y0, theta_start, t_span, spec, tol)
+
+        monkeypatch.setattr(flowmap, "integrate_span", recording)
         sol = run_newton(qpmap, *seed, NewtonConfig())
-        assert len(sol.history) > 1
-        assert len(sweeps) == len(sol.history)
+        assert len(spans) == r * len(sol.history)
+        if r == 1:
+            _, _, solved = d1_torus
+            again = run_newton(qpmap, solved.phi, solved.C, solved.B, NewtonConfig())
+            assert len(again.history) == 1
+            assert len(spans) == len(sol.history) + 2
+        delta = qpmap.P.field.delta
+        assert {t for t, _ in spans} == {delta / parts}
+        assert {spec for _, spec in spans} == {jets.JetSpec(symbols=2, order=1)}
 
     def test_early_passes_sweep_loose(self, d1_torus):
         # the seed's residual sets a loose first pass; the pass that stops
@@ -342,11 +381,14 @@ class TestNewton:
     def test_converged_seed_swept_again_at_full_tolerance(self, d1_torus, monkeypatch):
         # a loose first pass that reads a small residual is swept again, and
         # only the second sweep makes the history
-        P, qpmap, sol = d1_torus
+        P, _, sol = d1_torus
         sweeps = self.count_sweeps(monkeypatch)
-        again = run_newton(qpmap, sol.phi, sol.C, sol.B, NewtonConfig())
-        assert len(sweeps) == 2
-        assert [h["map_tol"] for h in again.history] == [P.tol]
+        for reversible in (True, False):
+            _, qpmap = pendulum_map(1, 31, reversible)
+            sweeps.clear()
+            again = run_newton(qpmap, sol.phi, sol.C, sol.B, NewtonConfig())
+            assert sweeps == [reversible] * 2
+            assert [h["map_tol"] for h in again.history] == [P.tol]
 
     @pytest.mark.parametrize("tol", [1e-10, 0.05])
     def test_convergence_never_read_from_a_loose_sweep(self, tol):
@@ -379,6 +421,45 @@ class TestNewton:
         qpmap = LiftedMap(P)
         with pytest.raises(ConvergenceError):
             run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig(tol=1e-16, max_iter=12))
+
+
+class TestHalfPeriodNewton:
+    """A reversible map's Newton sweeps the half-period map Q and reflects it."""
+
+    def test_half_sweep_is_the_return_map(self, d2_torus):
+        # at the desk torus, y and DP built from Q and its grid reflection are
+        # the full map's residual and differential at theta - rho/2
+        _, qpmap, sol = d2_torus
+        mesh = sol.mesh
+        c = sol.rho / 2.0
+        thetas = (mesh.grid() - c) % 1.0
+        psi = sol.phi.shift(-c)
+        y, DP = _half_period_sweep(qpmap, psi, thetas)
+        images, jacs = qpmap.images_and_jacobian(psi.values.reshape(mesh.M, 2), thetas)
+        full_y = sol.phi.shift(c).values.reshape(mesh.M, 2) - images
+        assert np.abs(y - full_y).max() < 1e-12
+        jacs = jacs.reshape(DP.shape)
+        assert np.abs(DP - jacs).max() < 1e-11 * np.abs(jacs).max()
+
+    def test_d1_N21_passes_tests_1_to_3(self):
+        # test 1 on P is independent of Newton's own residual here, and the
+        # shifted-grid collocation keeps every test under 1e-10
+        mesh, qpmap = pendulum_map(1, 21)
+        sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        for t in verify.torus_suite(qpmap, sol.phi):
+            assert t.measured <= 1e-10, str(t)
+
+    def test_desk_agrees_with_the_full_sweep(self, d2_torus):
+        _, qpmap, sol = d2_torus
+        mesh, full = pendulum_map(2, 31, reversible=False)
+        ref = run_newton(full, *newton_seed(full, mesh), NewtonConfig())
+        a, b = np.sort(np.abs(sol.eigenvalues())), np.sort(np.abs(ref.eigenvalues()))
+        assert np.abs(a / b - 1.0).max() <= 1e-10
+        assert np.abs(sol.phi.values - ref.phi.values).max() <= 1e-13
+
+    def test_desk_torus_is_symmetric(self, d2_torus):
+        _, qpmap, sol = d2_torus
+        assert verify.reversibility(qpmap, sol.phi) <= 1e-14
 
 
 class TestReport:

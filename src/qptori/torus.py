@@ -9,8 +9,10 @@ differentials, solving the Sylvester-type equation
 contract quadratically while above the round-off floor.  ``run_newton``
 makes one pass, and one map sweep, per iterate: the sweep's differentials
 finish the previous Floquet half, its images give both residuals, and the
-torus half follows unless they pass.  C^{-1} is derived from C where it is
-needed, never stored.
+torus half follows unless they pass.  Pass 0 replaces the seed's B by
+B + Avg(R), the mean of its reducibility error R.  Only the seed's
+C^{-1}(theta + rho) is a transform; each Floquet half-step then takes
+(Id + H(theta + rho))^{-1} C^{-1}(theta + rho) from the solved equation.
 
 The Newton passes are inexact (Dembo, Eisenstat and Steihaug 1982;
 Eisenstat and Walker 1996): a correction needs the map only about as
@@ -37,13 +39,9 @@ instead would interpolate the section-1/2 torus, which needs more modes
 than phi.  The seed and every torus correction are projected onto
 psi(theta) = R psi(rho - theta) in coefficient space; deriving psi from phi
 by a shift on every pass would put round-off into the sweep's input, which
-DP multiplies by lambda_u.  Pass 0 adds the mean reducibility error to the
-seed's B, the differential at one point, whose asymmetric step the
-projection would otherwise cut at lambda_u times the residual.  After each
-Floquet half-step the new C^{-1}(theta + rho) comes from the solved
-equation, (Id + H(theta + rho))^{-1} C^{-1}(theta + rho), not from a
-transform of the new C^{-1}; the full path keeps the transform, so that its
-results stay as they were.
+DP multiplies by lambda_u.  This path needs pass 0's B + Avg(R): from the
+seed's B, the first torus step would be asymmetric, and the projection
+would cut it at lambda_u times the residual.
 
 The torus, Floquet and manifold equations are one equation,
 ``X(theta+rho) A - B X(theta) = G`` on grid values: A = 1 for the torus,
@@ -386,8 +384,9 @@ def floquet_correction(
     """One Floquet half-step from the map differentials on the mesh.
 
     Returns the corrected change C (Id + H), matrix B' = B + Avg(R), and
-    H(theta + rho) on the grid, which the solved equation gives without a
-    transform: (R - Avg(R) + B' H) B'^{-1}.
+    the corrected C^{-1}(theta + rho) = (Id + H(theta + rho))^{-1}
+    C^{-1}(theta + rho), where the solved equation gives H(theta + rho) =
+    (R - Avg(R) + B' H) B'^{-1} without a transform.
     """
     n = B.shape[0]
     R = _reducibility_error(jacs_grid, C, C_inv_shift, B)
@@ -395,7 +394,8 @@ def floquet_correction(
     B_new = B + avg
     R -= avg
     H = solve_coho_floquet(R, MeshSpec(C.shape[:-2]), B_new, rho)
-    return C @ (np.eye(n) + H), B_new, (R + B_new @ H) @ np.linalg.inv(B_new)
+    H_shift = (R + B_new @ H) @ np.linalg.inv(B_new)
+    return C @ (np.eye(n) + H), B_new, _inv(np.eye(n) + H_shift) @ C_inv_shift
 
 
 def run_newton(
@@ -416,14 +416,14 @@ def run_newton(
     reads a small residual (module docstring).  ``C0`` holds the grid
     values of the seed change, shape mesh.shape + (n, n).  A full pass
     sweeps ``qpmap``, at ``qpmap.P.tol``, and a loose pass a loosened lift.
+    Pass 0 replaces the seed's B, the differential at one point, by
+    B + Avg(R); a seed that passes at pass 0 is returned as given.
 
     A lift with a reversor R (``qpmap.reversor``) sweeps only the
     half-period map (module docstring): Newton then runs on psi = phi(. - c)
     and C(. - c), 2c = rho, on the grid, and ``history`` reads y there.
     The seed and every torus correction are projected onto the symmetric
-    tori, psi(theta) = R psi(rho - theta), and pass 0 replaces the seed's B,
-    the differential at one point, by B + Avg(R).  A seed that passes at
-    pass 0 is returned as given.
+    tori, psi(theta) = R psi(rho - theta).
     """
     mesh = phi0.mesh
     n = phi0.n
@@ -466,14 +466,10 @@ def run_newton(
             map_tol = full_tol
         jacs_grid = jacs.reshape(mesh.shape + (n, n))
         if it > 0:
-            C, B, H_shift = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
-            if half:  # C^{-1}(theta + rho) (Id + H(theta + rho))^{-1}, with no transform
-                C_inv_shift = _inv(np.eye(n) + H_shift) @ C_inv_shift
-            else:  # by a transform, which keeps this path's results as they were
-                C_inv_shift = shift_grid(_inv(C), mesh, rho)
+            C, B, C_inv_shift = floquet_correction(jacs_grid, C, C_inv_shift, B, rho)
 
         red = _reducibility_error(jacs_grid, C, C_inv_shift, B)
-        if half and it == 0:
+        if it == 0:
             avg = red.reshape(-1, n, n).mean(axis=0)
             B = B + avg
             red -= avg

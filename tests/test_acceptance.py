@@ -5,7 +5,7 @@ Each test prints a single summary line of the form
     criterion N (title): <measured detail> [pass|FAIL|xfail: reason]
 
 Criteria 1, 2 and the profiling part of 8 share one long d=4 torus run
-(about 200 s with one worker on a 2-core host); those tests carry the ``slow``
+(about 75 s with one worker on a 2-core host); those tests carry the ``slow``
 marker, and everything else runs at d<=2 desk scale.  Run this module alone
 with ``pytest tests/test_acceptance.py -s`` to watch the lines appear as they
 complete.

@@ -11,13 +11,14 @@ from qptori.multishoot import LiftedMap
 from qptori.torus import (
     NewtonConfig,
     TorusSolution,
+    floquet_correction,
     resonance_monitor,
     run_newton,
     solve_coho_floquet,
     solve_cohomological,
     torus_correction,
 )
-from qptori.torus import _half_period_sweep
+from qptori.torus import _half_period_sweep, _inv
 
 from conftest import newton_seed, pendulum_map, pendulum_setup
 
@@ -423,6 +424,42 @@ class TestNewton:
             run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig(tol=1e-16, max_iter=12))
 
 
+class TestFloquetCorrection:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_shifted_inverse_is_the_new_change(self, d1_torus, r):
+        # from a smoothly perturbed change of the d=1 torus, or of its r = 2
+        # lift, the returned C^-1(theta + rho) is the transform of the
+        # returned C's inverse
+        if r == 1:
+            _, qpmap, sol = d1_torus
+        else:
+            mesh, qpmap = pendulum_map(1, 31, r=r)
+            sol = run_newton(qpmap, *newton_seed(qpmap, mesh), NewtonConfig())
+        mesh, n = sol.mesh, sol.n
+        _, jacs = qpmap.images_and_jacobian(sol.phi.values.reshape(mesh.M, n), mesh.grid())
+        K = np.random.default_rng(3).standard_normal((n, n))
+        wave = np.sin(2.0 * np.pi * mesh.grid().sum(axis=-1)).reshape(mesh.shape + (1, 1))
+        C = sol.C @ (np.eye(n) + 1e-3 * wave * K)
+        C_inv_shift = shift_grid(np.linalg.inv(C), mesh, sol.rho)
+        C_new, _, C_inv_shift_new = floquet_correction(
+            jacs.reshape(C.shape), C, C_inv_shift, sol.B, sol.rho
+        )
+        expected = shift_grid(np.linalg.inv(C_new), mesh, sol.rho)
+        assert np.abs(C_new - C).max() > 1e-6  # the perturbation was corrected
+        assert np.abs(C_inv_shift_new - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_lapack(self, n):
+        # the closed form for n = 2, LAPACK's batched inverse otherwise
+        A = np.eye(n) + 0.2 * np.random.default_rng(n).standard_normal((7, 5, n, n))
+        assert np.linalg.cond(A).max() < 10.0
+        expected = np.linalg.inv(A)
+        err = np.abs(_inv(A) - expected).max(axis=(-2, -1))
+        assert (err <= 1e-13 * np.abs(expected).max(axis=(-2, -1))).all()
+
+
 class TestHalfPeriodNewton:
     """A reversible map's Newton sweeps the half-period map Q and reflects it."""
 
@@ -456,6 +493,9 @@ class TestHalfPeriodNewton:
         a, b = np.sort(np.abs(sol.eigenvalues())), np.sort(np.abs(ref.eigenvalues()))
         assert np.abs(a / b - 1.0).max() <= 1e-10
         assert np.abs(sol.phi.values - ref.phi.values).max() <= 1e-13
+        # the full path takes C^-1(theta + rho) from the solved Floquet
+        # equation (1.1e-13 here); a transform of the inverted C reads 3.8e-13
+        assert ref.history[-1]["reducibility"] <= 2e-13
 
     def test_desk_torus_is_symmetric(self, d2_torus):
         _, qpmap, sol = d2_torus
